@@ -20,6 +20,7 @@
 #include "src/ml/feature_encoder.h"
 #include "src/ml/kmeans.h"
 #include "src/nvm/nvm_device.h"
+#include "src/persist/crc32.h"
 #include "src/util/hamming.h"
 #include "src/util/random.h"
 #include "src/util/simd.h"
@@ -42,6 +43,24 @@ void BM_HammingDistance(benchmark::State& state) {
                           static_cast<int64_t>(bytes));
 }
 BENCHMARK(BM_HammingDistance)->Arg(64)->Arg(784)->Arg(4096);
+
+// The op-log/snapshot checksum through the active kernel table: a 64-B
+// record, an MNIST image, the 4817-B op-log record body of one 4800-B CCTV
+// frame, and a 1 MiB snapshot section.
+void BM_Crc32(benchmark::State& state) {
+  const size_t bytes = static_cast<size_t>(state.range(0));
+  std::vector<uint8_t> data(bytes);
+  pnw::Rng rng(3);
+  for (auto& b : data) {
+    b = static_cast<uint8_t>(rng.Next());
+  }
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(pnw::persist::Crc32(data));
+  }
+  state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
+                          static_cast<int64_t>(bytes));
+}
+BENCHMARK(BM_Crc32)->Arg(64)->Arg(784)->Arg(4817)->Arg(1048576);
 
 void BM_KMeansPredict(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));

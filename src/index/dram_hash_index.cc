@@ -34,7 +34,7 @@ DramHashIndex::Node* DramHashIndex::FindNode(const Table& table,
   Node* node = table.buckets[Mix(key) & table.mask]
                    .load(std::memory_order_acquire);
   while (node != nullptr) {
-    if (node->key == key) {
+    if (node->key.load(std::memory_order_relaxed) == key) {
       return node;
     }
     node = node->next.load(std::memory_order_acquire);
@@ -46,28 +46,27 @@ Status DramHashIndex::Put(uint64_t key, uint64_t addr) {
   Table* table = table_.load(std::memory_order_relaxed);
   Node* node = FindNode(*table, key);
   if (node != nullptr) {
-    if (!node->live.load(std::memory_order_relaxed)) {
-      ++live_;  // reviving a tombstone
-    }
     node->addr.store(addr, std::memory_order_relaxed);
-    node->live.store(true, std::memory_order_release);
     return Status::OK();
   }
-  if (nodes_ + 1 > table->mask + 1) {
+  if (live_ + 1 > table->mask + 1) {
     Rehash();
     table = table_.load(std::memory_order_relaxed);
   }
-  node = static_cast<Node*>(arena_.Allocate(sizeof(Node), alignof(Node)));
-  node->key = key;
+  if (free_nodes_ != nullptr) {
+    node = free_nodes_;
+    free_nodes_ = node->next.load(std::memory_order_relaxed);
+  } else {
+    node = static_cast<Node*>(arena_.Allocate(sizeof(Node), alignof(Node)));
+  }
+  node->key.store(key, std::memory_order_relaxed);
   node->addr.store(addr, std::memory_order_relaxed);
-  node->live.store(true, std::memory_order_relaxed);
   std::atomic<Node*>& head = table->buckets[Mix(key) & table->mask];
   node->next.store(head.load(std::memory_order_relaxed),
                    std::memory_order_relaxed);
   // Publication point: everything written above becomes visible to any
   // reader that reaches the node through this head.
   head.store(node, std::memory_order_release);
-  ++nodes_;
   ++live_;
   return Status::OK();
 }
@@ -94,7 +93,9 @@ void DramHashIndex::Rehash() {
     Node* node = old_table->buckets[i].load(std::memory_order_relaxed);
     while (node != nullptr) {
       Node* next = node->next.load(std::memory_order_relaxed);
-      std::atomic<Node*>& head = table->buckets[Mix(node->key) & table->mask];
+      std::atomic<Node*>& head =
+          table->buckets[Mix(node->key.load(std::memory_order_relaxed)) &
+                         table->mask];
       node->next.store(head.load(std::memory_order_relaxed),
                        std::memory_order_relaxed);
       head.store(node, std::memory_order_release);
@@ -107,7 +108,7 @@ void DramHashIndex::Rehash() {
 Result<uint64_t> DramHashIndex::Get(uint64_t key) const {
   const Table* table = table_.load(std::memory_order_acquire);
   Node* node = FindNode(*table, key);
-  if (node == nullptr || !node->live.load(std::memory_order_acquire)) {
+  if (node == nullptr) {
     return Status::NotFound("key not in index");
   }
   return node->addr.load(std::memory_order_relaxed);
@@ -117,8 +118,9 @@ DramHashIndex::OptLookup DramHashIndex::TryGetOptimistic(
     uint64_t key, uint64_t* addr) const {
   const Table* table = table_.load(std::memory_order_acquire);
   // Step bound: any consistent chain is far shorter than the whole table
-  // (load factor <= 1), so exceeding it means a concurrent restructure --
-  // give up rather than risk chasing a mid-splice cycle forever.
+  // (load factor <= 1), so exceeding it means a concurrent restructure or
+  // a recycled node led the walk astray -- give up rather than risk
+  // chasing a mid-splice cycle forever.
   size_t budget = 2 * (table->mask + 1) + 64;
   Node* node = table->buckets[Mix(key) & table->mask]
                    .load(std::memory_order_acquire);
@@ -126,10 +128,7 @@ DramHashIndex::OptLookup DramHashIndex::TryGetOptimistic(
     if (budget-- == 0) {
       return OptLookup::kOverflow;
     }
-    if (node->key == key) {
-      if (!node->live.load(std::memory_order_acquire)) {
-        return OptLookup::kMiss;
-      }
+    if (node->key.load(std::memory_order_relaxed) == key) {
       *addr = node->addr.load(std::memory_order_relaxed);
       return OptLookup::kHit;
     }
@@ -146,10 +145,8 @@ std::vector<std::pair<uint64_t, uint64_t>> DramHashIndex::LiveEntries()
   for (size_t i = 0; i <= table->mask; ++i) {
     for (Node* node = table->buckets[i].load(std::memory_order_acquire);
          node != nullptr; node = node->next.load(std::memory_order_acquire)) {
-      if (node->live.load(std::memory_order_acquire)) {
-        entries.emplace_back(node->key,
-                             node->addr.load(std::memory_order_relaxed));
-      }
+      entries.emplace_back(node->key.load(std::memory_order_relaxed),
+                           node->addr.load(std::memory_order_relaxed));
     }
   }
   return entries;
@@ -157,11 +154,23 @@ std::vector<std::pair<uint64_t, uint64_t>> DramHashIndex::LiveEntries()
 
 Status DramHashIndex::Delete(uint64_t key) {
   Table* table = table_.load(std::memory_order_relaxed);
-  Node* node = FindNode(*table, key);
-  if (node == nullptr || !node->live.load(std::memory_order_relaxed)) {
+  std::atomic<Node*>* link = &table->buckets[Mix(key) & table->mask];
+  Node* node = link->load(std::memory_order_relaxed);
+  while (node != nullptr &&
+         node->key.load(std::memory_order_relaxed) != key) {
+    link = &node->next;
+    node = link->load(std::memory_order_relaxed);
+  }
+  if (node == nullptr) {
     return Status::NotFound("key not in index");
   }
-  node->live.store(false, std::memory_order_release);
+  // Unlink, then park the node on the free list. A reader standing on it
+  // follows `next` into the free list (a bounded walk ending in nullptr)
+  // and its seqlock validation fails.
+  link->store(node->next.load(std::memory_order_relaxed),
+              std::memory_order_release);
+  node->next.store(free_nodes_, std::memory_order_relaxed);
+  free_nodes_ = node;
   --live_;
   return Status::OK();
 }

@@ -26,8 +26,8 @@ class KeyIndex {
   /// are pure lookups).
   virtual Result<uint64_t> Get(uint64_t key) const = 0;
 
-  /// Logically delete `key` (the paper resets a flag bit rather than
-  /// physically removing the entry). NotFound if absent.
+  /// Delete `key`; NotFound if absent. The NVM path-hash index resets a
+  /// flag bit as the paper does; the DRAM index unlinks the entry.
   virtual Status Delete(uint64_t key) = 0;
 
   /// Number of live (non-deleted) entries.

@@ -11,6 +11,10 @@
 // with -ffp-contract=off), vector lane l accumulates exactly the elements
 // scalar stripe l accumulates, and both reduce through the shared
 // ReduceDotLanes/ReduceCenteredLanes trees. The integer kernels are exact.
+//
+// The CRC-32 kernel needs PCLMULQDQ as well (the TU is compiled with
+// -mpclmul next to -mavx2); it is reached only through a table the CPU's
+// pclmul bit selects, and the table without it carries the scalar CRC.
 
 #include "src/util/simd.h"
 
@@ -216,11 +220,95 @@ size_t NextDirtyWordAvx2(const uint8_t* resident, const uint8_t* incoming,
   return words;
 }
 
-constexpr KernelTable kAvx2Table = {
-    Isa::kAvx2,        DotAvx2,          ArgminCentroidsAvx2,
-    DotCenteredAvx2,   EncodeAccumulateAvx2,
-    PopcountBytesAvx2, HammingBytesAvx2, NextDirtyWordAvx2,
-};
+/// Folds the 128-bit accumulator `acc` forward onto the 16 data bytes that
+/// lie a fixed distance ahead: each 64-bit half is carry-less multiplied by
+/// its constant in `k` (low half by k's low word, high by high) and both
+/// products are XORed into the data. The constants are the bit-reflected
+/// x^e mod P for the fold distance (Gopal et al., reflected variant).
+__m128i Fold(__m128i acc, __m128i k, __m128i data) {
+  const __m128i lo = _mm_clmulepi64_si128(acc, k, 0x00);
+  const __m128i hi = _mm_clmulepi64_si128(acc, k, 0x11);
+  return _mm_xor_si128(_mm_xor_si128(lo, hi), data);
+}
+
+__m128i Load16(const uint8_t* p) {
+  return _mm_loadu_si128(reinterpret_cast<const __m128i*>(p));
+}
+
+/// Carry-less-multiply CRC-32 after Gopal et al., "Fast CRC Computation for
+/// Generic Polynomials Using PCLMULQDQ" (Intel, 2009), in the bit-reflected
+/// domain: four 128-bit accumulators fold 64 bytes per round, collapse into
+/// one, fold the remaining 16-byte blocks, shrink 128 -> 64 -> 32 bits and
+/// finish with a Barrett reduction. Fewer than 64 bytes, and the last
+/// n % 16 bytes, go through the scalar slice-by-8.
+uint32_t Crc32Clmul(uint32_t state, const uint8_t* p, size_t n) {
+  if (n < 64) {
+    return Crc32Slice8(state, p, n);
+  }
+  // Fold constants for a 512-bit distance (four lanes) and a 128-bit one.
+  const __m128i k_by4 = _mm_set_epi64x(0x01c6e41596, 0x0154442bd4);
+  const __m128i k_by1 = _mm_set_epi64x(0x00ccaa009e, 0x01751997d0);
+  // Constant for the 64 -> 32 step.
+  const __m128i k_64 = _mm_set_epi64x(0, 0x0163cd6124);
+  // Barrett reduction: P' (low) and mu = floor(x^64 / P)' (high).
+  const __m128i barrett = _mm_set_epi64x(0x01f7011641, 0x01db710641);
+  const __m128i low32 = _mm_setr_epi32(-1, 0, -1, 0);
+  constexpr size_t kPrefetchAhead = 2048;
+
+  __m128i a0 = _mm_xor_si128(Load16(p),
+                             _mm_cvtsi32_si128(static_cast<int>(state)));
+  __m128i a1 = Load16(p + 16);
+  __m128i a2 = Load16(p + 32);
+  __m128i a3 = Load16(p + 48);
+  p += 64;
+  n -= 64;
+  for (; n >= 64; p += 64, n -= 64) {
+    // Snapshot sections stream from DRAM, where the fold outruns the
+    // hardware prefetcher: asking 2 KiB ahead doubled throughput on a
+    // 64 MiB buffer (5 -> 10 GB/s, Xeon VM). Only in-buffer lines are
+    // requested; the last 2 KiB were requested by earlier rounds.
+    if (n >= kPrefetchAhead + 64) {
+      _mm_prefetch(reinterpret_cast<const char*>(p + kPrefetchAhead),
+                   _MM_HINT_T0);
+    }
+    a0 = Fold(a0, k_by4, Load16(p));
+    a1 = Fold(a1, k_by4, Load16(p + 16));
+    a2 = Fold(a2, k_by4, Load16(p + 32));
+    a3 = Fold(a3, k_by4, Load16(p + 48));
+  }
+  __m128i acc = Fold(a0, k_by1, a1);
+  acc = Fold(acc, k_by1, a2);
+  acc = Fold(acc, k_by1, a3);
+  for (; n >= 16; p += 16, n -= 16) {
+    acc = Fold(acc, k_by1, Load16(p));
+  }
+
+  // 128 -> 64 bits: the low half times x^128 folds onto the high half.
+  acc = _mm_xor_si128(_mm_srli_si128(acc, 8),
+                      _mm_clmulepi64_si128(acc, k_by1, 0x10));
+  // 64 -> 32 bits.
+  acc = _mm_xor_si128(
+      _mm_srli_si128(acc, 4),
+      _mm_clmulepi64_si128(_mm_and_si128(acc, low32), k_64, 0x00));
+  // Barrett: q = floor(acc * mu), crc = acc ^ q * P, in the upper word.
+  __m128i q = _mm_clmulepi64_si128(_mm_and_si128(acc, low32), barrett, 0x10);
+  q = _mm_clmulepi64_si128(_mm_and_si128(q, low32), barrett, 0x00);
+  state = static_cast<uint32_t>(_mm_extract_epi32(_mm_xor_si128(acc, q), 1));
+  return Crc32Slice8(state, p, n);
+}
+
+constexpr KernelTable MakeAvx2Table(
+    uint32_t (*crc32_update)(uint32_t, const uint8_t*, size_t)) {
+  return {
+      Isa::kAvx2,        DotAvx2,          ArgminCentroidsAvx2,
+      DotCenteredAvx2,   EncodeAccumulateAvx2,
+      PopcountBytesAvx2, HammingBytesAvx2, NextDirtyWordAvx2,
+      crc32_update,
+  };
+}
+
+constexpr KernelTable kAvx2Table = MakeAvx2Table(Crc32Clmul);
+constexpr KernelTable kAvx2SliceCrcTable = MakeAvx2Table(Crc32Slice8);
 
 }  // namespace
 
@@ -228,7 +316,11 @@ const KernelTable* Avx2KernelTable() {
   // Compile-time AVX2 (this TU) is necessary but not sufficient: the
   // binary may run on an older CPU, so gate on the runtime check too.
   static const bool supported = __builtin_cpu_supports("avx2");
-  return supported ? &kAvx2Table : nullptr;
+  if (!supported) {
+    return nullptr;
+  }
+  static const bool clmul = __builtin_cpu_supports("pclmul");
+  return clmul ? &kAvx2Table : &kAvx2SliceCrcTable;
 }
 
 }  // namespace pnw::simd

@@ -138,10 +138,41 @@ size_t NextDirtyWordScalar(const uint8_t* resident, const uint8_t* incoming,
   return words;
 }
 
+/// table[0] is the classic byte-at-a-time CRC table; table[k][b] is the
+/// register contribution of byte b followed by k zero bytes, so eight
+/// lookups advance the register by a whole 8-byte word.
+using Crc32Tables = std::array<std::array<uint32_t, 256>, 8>;
+
+constexpr Crc32Tables MakeCrc32Tables() {
+  Crc32Tables t{};
+  for (uint32_t b = 0; b < 256; ++b) {
+    uint32_t crc = b;
+    for (int bit = 0; bit < 8; ++bit) {
+      crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+    }
+    t[0][b] = crc;
+  }
+  for (size_t k = 1; k < 8; ++k) {
+    for (uint32_t b = 0; b < 256; ++b) {
+      t[k][b] = (t[k - 1][b] >> 8) ^ t[0][t[k - 1][b] & 0xFFu];
+    }
+  }
+  return t;
+}
+
+constexpr Crc32Tables kCrc32Tables = MakeCrc32Tables();
+
+/// Little-endian 32-bit load regardless of host byte order.
+uint32_t LoadLe32(const uint8_t* p) {
+  return static_cast<uint32_t>(p[0]) | static_cast<uint32_t>(p[1]) << 8 |
+         static_cast<uint32_t>(p[2]) << 16 | static_cast<uint32_t>(p[3]) << 24;
+}
+
 constexpr KernelTable kScalarTable = {
     Isa::kScalar,        DotScalar,          ArgminCentroidsScalar,
     DotCenteredScalar,   EncodeAccumulateScalar,
     PopcountBytesScalar, HammingBytesScalar, NextDirtyWordScalar,
+    Crc32Slice8,
 };
 
 /// Startup selection: PNW_KERNEL_ISA override first, then the best ISA the
@@ -175,6 +206,22 @@ std::atomic<const KernelTable*>& ActiveTable() {
 }  // namespace
 
 const std::array<uint64_t, 256> kBitSpread = MakeBitSpread();
+
+uint32_t Crc32Slice8(uint32_t state, const uint8_t* p, size_t n) {
+  const Crc32Tables& t = kCrc32Tables;
+  for (; n >= 8; p += 8, n -= 8) {
+    const uint32_t lo = LoadLe32(p) ^ state;
+    const uint32_t hi = LoadLe32(p + 4);
+    state = t[7][lo & 0xFFu] ^ t[6][(lo >> 8) & 0xFFu] ^
+            t[5][(lo >> 16) & 0xFFu] ^ t[4][lo >> 24] ^ t[3][hi & 0xFFu] ^
+            t[2][(hi >> 8) & 0xFFu] ^ t[1][(hi >> 16) & 0xFFu] ^
+            t[0][hi >> 24];
+  }
+  for (; n > 0; ++p, --n) {
+    state = (state >> 8) ^ t[0][(state ^ *p) & 0xFFu];
+  }
+  return state;
+}
 
 const char* IsaName(Isa isa) {
   switch (isa) {

@@ -38,6 +38,13 @@ Result<std::unique_ptr<OpLogWriter>> OpLogWriter::Open(
     return Status::Internal("op-log open failed for " + path + ": " +
                             std::strerror(errno));
   }
+  // Every append is flushed at once anyway, so stdio buffering only costs:
+  // a buffered stream splits a record larger than its buffer into two
+  // write(2) calls (the buffer-sized head, then the tail at fflush).
+  // Unbuffered, one fwrite is one write(2).
+  // status-dropped: on failure the stream stays buffered, which is slower
+  // but writes the same bytes.
+  (void)std::setvbuf(file, nullptr, _IONBF, 0);
   std::unique_ptr<OpLogWriter> writer(
       new OpLogWriter(path, file, sync_every));
   std::error_code ec;

@@ -1,7 +1,8 @@
 // Runtime-dispatched SIMD kernels for the hot loops of the placement
 // pipeline (dot product, fused centroid argmin, PCA projection, bit-feature
-// encode) and of the NVM substrate (popcount/Hamming distance, the
-// differential-write dirty-word scan).
+// encode), of the NVM substrate (popcount/Hamming distance, the
+// differential-write dirty-word scan) and of the durability layer (the
+// CRC-32 every snapshot section and op-log record carries).
 //
 // Contract: every kernel is BIT-IDENTICAL across ISAs. The floating-point
 // kernels achieve this by fixing *striped-lane* semantics -- the scalar
@@ -9,10 +10,12 @@
 // holds (8 float stripes for the dot product, 4 double stripes for the PCA
 // projection) and both sides reduce through the identical pairwise tree
 // (ReduceDotLanes / ReduceCenteredLanes below). The integer kernels are
-// exact by nature. tests/kernels_test.cc proves the equivalence for every
-// ISA reachable on the host, over random lengths and unaligned heads/tails;
-// this is what makes model predictions independent of the machine the
-// binary happens to run on.
+// exact by nature; for crc32_update that means every version computes the
+// one reflected CRC-32 (polynomial 0xEDB88320), so bytes on disk do not
+// depend on the machine that wrote them. tests/kernels_test.cc proves the
+// equivalence for every ISA reachable on the host, over random lengths and
+// unaligned heads/tails; this is what makes model predictions and stored
+// checksums independent of the machine the binary happens to run on.
 //
 // Dispatch: Kernels() returns the active table -- picked once at startup
 // (best ISA the CPU supports, overridable via the PNW_KERNEL_ISA
@@ -85,6 +88,16 @@ struct KernelTable {
   /// all remaining words are clean. Unaligned pointers are fine.
   size_t (*next_dirty_word)(const uint8_t* resident, const uint8_t* incoming,
                             size_t from, size_t words);
+
+  /// Reflected CRC-32 (polynomial 0xEDB88320, the zlib/gzip CRC) of p[0, n)
+  /// fed into the running register `state`: no pre- or post-inversion here
+  /// (persist::Crc32Update/Crc32Finish own those). Scalar: slice-by-8.
+  /// AVX2 table: PCLMULQDQ folding of four 128-bit lanes plus a Barrett
+  /// reduction (Gopal et al., Intel 2009), gated on the CPU's pclmul bit.
+  /// NEON table: the ARMv8 CRC32 instructions when compiled with
+  /// __ARM_FEATURE_CRC32. Inputs too short to fold, and every tail, go
+  /// through Crc32Slice8.
+  uint32_t (*crc32_update)(uint32_t state, const uint8_t* p, size_t n);
 };
 
 /// The active table (startup-selected or pinned). Never null.
@@ -115,6 +128,11 @@ void UnpinIsa();
 /// b of the result. Shared by every encode_accumulate implementation (and
 /// by the AVX2 gather path, which indexes it directly).
 extern const std::array<uint64_t, 256> kBitSpread;
+
+/// The scalar crc32_update (slice-by-8 over eight 256-entry tables). Shared
+/// by every table for short inputs and tails, and the whole kernel where
+/// the CPU lacks a CRC instruction.
+uint32_t Crc32Slice8(uint32_t state, const uint8_t* p, size_t n);
 
 /// The fixed pairwise reduction both sides of the dot kernel share:
 /// (l0+l4, l1+l5, l2+l6, l3+l7) -> (m0+m2, m1+m3) -> n0+n1. Pure float

@@ -95,6 +95,40 @@ INSTANTIATE_TEST_SUITE_P(
       return info.param == IndexKind::kDram ? "Dram" : "PathHash";
     });
 
+// ---------------------------------------------------------- DRAM specifics
+
+// Memory must track peak *live* keys, not keys ever seen: a window of 2048
+// keys slides over 1M fresh keys (put the newest, delete the oldest, like a
+// recorder's retention window), and the arena must stay within a small
+// fixed multiple of what the full window alone needed.
+TEST(DramHashIndexTest, MemoryBoundedByPeakLiveKeysUnderFreshKeyChurn) {
+  constexpr uint64_t kWindow = 2048;
+  constexpr uint64_t kChurn = uint64_t{1} << 20;
+  DramHashIndex index;
+  for (uint64_t k = 0; k < kWindow; ++k) {
+    ASSERT_TRUE(index.Put(k, k * 3).ok());
+  }
+  const util::ArenaStats peak = index.arena_stats();
+  for (uint64_t k = 0; k < kChurn; ++k) {
+    ASSERT_TRUE(index.Put(k + kWindow, (k + kWindow) * 3).ok());
+    ASSERT_TRUE(index.Delete(k).ok());
+  }
+  const util::ArenaStats after = index.arena_stats();
+  EXPECT_LE(after.slab_bytes, 2 * peak.slab_bytes);
+  EXPECT_LE(after.live_bytes, 2 * peak.live_bytes);
+
+  EXPECT_EQ(index.size(), kWindow);
+  EXPECT_EQ(index.LiveEntries().size(), kWindow);
+  for (uint64_t k = kChurn; k < kChurn + kWindow; ++k) {
+    auto got = index.Get(k);
+    ASSERT_TRUE(got.ok()) << "key " << k;
+    EXPECT_EQ(got.value(), k * 3);
+  }
+  for (uint64_t k = kChurn - kWindow; k < kChurn; ++k) {
+    EXPECT_TRUE(index.Get(k).status().IsNotFound()) << "key " << k;
+  }
+}
+
 // ----------------------------------------------------- path-hash specifics
 
 TEST(PathHashIndexTest, DeleteIsSingleBitFlip) {

@@ -6,6 +6,8 @@
 // binary happens to run on (see src/util/simd.h).
 #include "src/util/simd.h"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstdint>
 #include <cstring>
@@ -13,6 +15,8 @@
 #include <vector>
 
 #include <gtest/gtest.h>
+
+#include "src/persist/crc32.h"
 
 namespace pnw::simd {
 namespace {
@@ -226,6 +230,99 @@ TEST(KernelsTest, NextDirtyWordMatchesReferenceScan) {
         }
       }
     }
+  }
+}
+
+// Byte-at-a-time reflected CRC-32 (0xEDB88320): the textbook definition
+// every crc32_update version must reproduce exactly.
+uint32_t ReferenceCrc32Update(uint32_t state, const uint8_t* p, size_t n) {
+  static const std::array<uint32_t, 256> table = [] {
+    std::array<uint32_t, 256> t{};
+    for (uint32_t i = 0; i < 256; ++i) {
+      uint32_t crc = i;
+      for (int bit = 0; bit < 8; ++bit) {
+        crc = (crc >> 1) ^ ((crc & 1u) ? 0xEDB88320u : 0u);
+      }
+      t[i] = crc;
+    }
+    return t;
+  }();
+  for (size_t i = 0; i < n; ++i) {
+    state = (state >> 8) ^ table[(state ^ p[i]) & 0xFFu];
+  }
+  return state;
+}
+
+TEST(KernelsTest, Crc32KnownAnswers) {
+  const uint8_t check[] = {'1', '2', '3', '4', '5', '6', '7', '8', '9'};
+  for (const Isa isa : AvailableIsas()) {
+    const KernelTable* table = TableFor(isa);
+    EXPECT_EQ(persist::Crc32Finish(
+                  table->crc32_update(persist::kCrc32Init, nullptr, 0)),
+              0u)
+        << IsaName(isa);
+    EXPECT_EQ(persist::Crc32Finish(
+                  table->crc32_update(persist::kCrc32Init, check, 9)),
+              0xCBF43926u)
+        << IsaName(isa);
+  }
+  EXPECT_EQ(persist::Crc32({}), 0u);
+  EXPECT_EQ(persist::Crc32(check), 0xCBF43926u);
+}
+
+TEST(KernelsTest, Crc32MatchesByteReferenceOnEveryIsa) {
+  std::mt19937 rng(23);
+  constexpr size_t kMaxLen = 70000;
+  constexpr size_t kMaxOffset = 15;
+  std::vector<uint8_t> buf(kMaxLen + kMaxOffset);
+  FillBytes(rng, buf);
+  // Short inputs, exact multiples of the 64-byte fold block, every 1..63
+  // byte tail behind a folded body, and random lengths up to kMaxLen.
+  std::vector<size_t> lengths;
+  for (size_t n = 0; n <= 130; ++n) {
+    lengths.push_back(n);
+  }
+  for (size_t blocks : {1, 2, 3, 16, 75, 1093}) {
+    lengths.push_back(blocks * 64);
+  }
+  for (size_t tail = 1; tail < 64; ++tail) {
+    lengths.push_back(5 * 64 + tail);
+  }
+  for (int i = 0; i < 60; ++i) {
+    lengths.push_back(rng() % (kMaxLen + 1));
+  }
+  for (const size_t n : lengths) {
+    const size_t offset = rng() % (kMaxOffset + 1);
+    const uint8_t* p = buf.data() + offset;
+    const uint32_t seed = static_cast<uint32_t>(rng());
+    const uint32_t want = ReferenceCrc32Update(seed, p, n);
+    for (const Isa isa : AvailableIsas()) {
+      EXPECT_EQ(TableFor(isa)->crc32_update(seed, p, n), want)
+          << IsaName(isa) << " crc32 n=" << n << " offset=" << offset;
+    }
+  }
+}
+
+TEST(KernelsTest, Crc32UpdateSplitEqualsOneCall) {
+  std::mt19937 rng(29);
+  std::vector<uint8_t> buf(20000);
+  FillBytes(rng, buf);
+  const std::span<const uint8_t> all(buf);
+  const uint32_t whole = persist::Crc32(all);
+  for (int trial = 0; trial < 50; ++trial) {
+    std::vector<size_t> cuts(1 + rng() % 6);
+    for (auto& cut : cuts) {
+      cut = rng() % (buf.size() + 1);
+    }
+    std::sort(cuts.begin(), cuts.end());
+    uint32_t state = persist::kCrc32Init;
+    size_t from = 0;
+    for (const size_t cut : cuts) {
+      state = persist::Crc32Update(state, all.subspan(from, cut - from));
+      from = cut;
+    }
+    state = persist::Crc32Update(state, all.subspan(from));
+    EXPECT_EQ(persist::Crc32Finish(state), whole) << "trial " << trial;
   }
 }
 

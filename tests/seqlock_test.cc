@@ -7,6 +7,7 @@
 // seqlock validation failed to discard. Readers additionally check the key
 // round-trip (the value's fill byte is derived from the key), catching a
 // lookup that validated against the wrong bucket.
+#include <algorithm>
 #include <atomic>
 #include <cstdint>
 #include <optional>
@@ -185,6 +186,79 @@ TEST(OptimisticConcurrencyTest, TortureWithStartGapRotation) {
 
 TEST(OptimisticConcurrencyTest, TortureAcrossIndexReplacement) {
   RunTorture(SmallOptions(), /*crash_recover=*/true);
+}
+
+// Index node recycling under the readers: every writer step deletes the
+// oldest key k and puts the fresh key k + kWindow, so the DRAM index keeps
+// handing a just-unlinked node to a different key while optimistic lookups
+// may still stand on it. Each value spells its own key in every 8-byte
+// word, so a validated hit carrying any other key's value (or a torn mix)
+// is caught.
+TEST(OptimisticConcurrencyTest, TortureFreshKeysRecycleIndexNodes) {
+  constexpr uint64_t kWindow = 64;
+  constexpr uint64_t kWriterOps = 2000;
+  const auto key_value = [](uint64_t key) {
+    std::vector<uint8_t> value(kValueBytes);
+    for (size_t i = 0; i < value.size(); ++i) {
+      value[i] = static_cast<uint8_t>(key >> (8 * (i % 8)));
+    }
+    return value;
+  };
+  auto store = PnwStore::Open(SmallOptions()).value();
+  {
+    std::vector<uint64_t> keys(kWindow);
+    std::vector<std::vector<uint8_t>> values(kWindow);
+    for (uint64_t k = 0; k < kWindow; ++k) {
+      keys[k] = k;
+      values[k] = key_value(k);
+    }
+    util::WriterLock lock(store->mu());
+    ASSERT_TRUE(store->Bootstrap(keys, values).ok());
+  }
+
+  std::atomic<uint64_t> oldest{0};  // window is [oldest, oldest + kWindow)
+  std::atomic<bool> done{false};
+  std::atomic<uint64_t> wrong{0};
+  std::atomic<uint64_t> hits{0};
+  const auto reader = [&](uint64_t salt) {
+    uint64_t x = salt;
+    uint64_t my_hits = 0;
+    while (!done.load(std::memory_order_acquire) || my_hits == 0) {
+      x = x * 6364136223846793005ull + 1442695040888963407ull;
+      // Mostly live keys, some just expired.
+      const uint64_t lo = oldest.load(std::memory_order_relaxed);
+      const uint64_t key = lo + (x >> 33) % (kWindow + 8) -
+                           std::min<uint64_t>(lo, 8);
+      auto fast = store->TryGetOptimistic(key);
+      if (!fast.has_value() || fast->status().IsNotFound()) {
+        continue;
+      }
+      if (!fast->ok() || fast->value() != key_value(key)) {
+        wrong.fetch_add(1);
+        continue;
+      }
+      ++my_hits;
+    }
+    hits.fetch_add(my_hits);
+  };
+
+  std::thread r1(reader, 1), r2(reader, 2);
+  for (uint64_t k = 0; k < kWriterOps; ++k) {
+    util::WriterLock lock(store->mu());
+    ASSERT_TRUE(store->Delete(k).ok());
+    ASSERT_TRUE(store->Put(k + kWindow, key_value(k + kWindow)).ok());
+    oldest.store(k + 1, std::memory_order_relaxed);
+  }
+  done.store(true, std::memory_order_release);
+  r1.join();
+  r2.join();
+
+  EXPECT_EQ(wrong.load(), 0u) << "a validated hit carried another value";
+  EXPECT_GT(hits.load(), 0u);
+  util::ReaderLock lock(store->mu());
+  EXPECT_EQ(store->size(), kWindow);
+  const StoreMetrics& m = store->metrics();
+  EXPECT_EQ(m.gets.load(), m.optimistic_gets.load() + m.locked_gets.load());
 }
 
 TEST(OptimisticConcurrencyTest, ShardedGetUsesOptimisticPath) {

@@ -36,8 +36,17 @@ std::vector<size_t> ValueModel::RankClusters(
 
 const std::vector<size_t>& ValueModel::RankClusters(
     std::span<const uint8_t> value, FeatureScratch& scratch) const {
-  kmeans_.RankClusters(Featurize(value, scratch), scratch.rank_scores,
-                       scratch.ranked);
+  Featurize(value, scratch);
+  return RankFeaturized(scratch);
+}
+
+const std::vector<size_t>& ValueModel::RankFeaturized(
+    FeatureScratch& scratch) const {
+  // Featurize leaves its output in `features` with PCA, else in `encoded`.
+  const std::span<const float> features =
+      pca_.has_value() ? std::span<const float>(scratch.features)
+                       : std::span<const float>(scratch.encoded);
+  kmeans_.RankClusters(features, scratch.rank_scores, scratch.ranked);
   return scratch.ranked;
 }
 

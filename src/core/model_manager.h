@@ -71,6 +71,12 @@ class ValueModel {
   const std::vector<size_t>& RankClusters(std::span<const uint8_t> value,
                                           FeatureScratch& scratch) const;
 
+  /// RankClusters of the value the last Predict or RankClusters call
+  /// through `scratch` featurized, ranked from the features that call left
+  /// there instead of encoding the value again. The caller guarantees that
+  /// call was made by this model and nothing used `scratch` since.
+  const std::vector<size_t>& RankFeaturized(FeatureScratch& scratch) const;
+
   /// Batched prediction through the same scratch-backed encoder path: one
   /// label per value into `labels` (resized; capacity reused). The batched
   /// write path predicts a whole MultiPut with one call.

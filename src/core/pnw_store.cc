@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <chrono>
+#include <cstdio>
+#include <cstdlib>
 #include <cstring>
 #include <filesystem>
 #include <utility>
@@ -98,6 +100,10 @@ Result<std::unique_ptr<PnwStore>> PnwStore::Open(const PnwOptions& options) {
   if (options.num_clusters == 0) {
     return Status::InvalidArgument("num_clusters must be positive");
   }
+  if (options.num_clusters >= kUnknownLabel) {
+    return Status::InvalidArgument(
+        "num_clusters must be below 65535 (bucket labels are 16-bit)");
+  }
   if (options.load_factor <= 0.0 || options.load_factor > 1.0) {
     return Status::InvalidArgument("load_factor must be in (0, 1]");
   }
@@ -176,6 +182,7 @@ Status PnwStore::Init() {
   training.seed = options_.seed;
   manager_ = std::make_unique<ModelManager>(training);
 
+  bucket_labels_.assign(options_.capacity_buckets, kUnknownLabel);
   active_buckets_ = options_.initial_buckets;
   // Until a model exists, every free address sits in cluster 0 and PUTs
   // place like DCW.
@@ -218,13 +225,15 @@ std::span<const uint8_t> PnwStore::PeekBucketValue(size_t bucket) const {
 }
 
 std::span<const size_t> PnwStore::RankClustersTimed(
-    std::span<const uint8_t> value) {
+    std::span<const uint8_t> value, bool just_predicted) {
   if (model_ == nullptr) {
     predict_scratch_.ranked.assign(1, 0);
     return predict_scratch_.ranked;
   }
   const auto t0 = std::chrono::steady_clock::now();
-  const auto& ranked = model_->RankClusters(value, predict_scratch_);
+  const auto& ranked = just_predicted
+                           ? model_->RankFeaturized(predict_scratch_)
+                           : model_->RankClusters(value, predict_scratch_);
   const auto t1 = std::chrono::steady_clock::now();
   metrics_.predict_wall_ns +=
       std::chrono::duration<double, std::nano>(t1 - t0).count();
@@ -286,6 +295,7 @@ Status PnwStore::Bootstrap(std::span<const uint64_t> keys,
     }
     PNW_RETURN_IF_ERROR(SetBucketFlag(i, true));
     PNW_RETURN_IF_ERROR(index_->Put(keys[i], BucketAddr(i)));
+    bucket_labels_[i] = kUnknownLabel;
   }
   used_buckets_ = values.size();
   bootstrapped_ = true;
@@ -315,8 +325,23 @@ std::vector<std::vector<uint8_t>> PnwStore::CollectTrainingSamples() const {
   return samples;
 }
 
-void PnwStore::AdoptModel(std::shared_ptr<const ValueModel> model) {
+void PnwStore::InstallModel(std::shared_ptr<const ValueModel> model) {
   model_ = std::move(model);
+  ++model_generation_;
+  std::fill(bucket_labels_.begin(), bucket_labels_.end(), kUnknownLabel);
+}
+
+size_t PnwStore::LabelOf(std::span<const uint8_t> value) {
+  return model_ != nullptr ? model_->Predict(value, predict_scratch_) : 0;
+}
+
+size_t PnwStore::ResidentLabel(size_t bucket, std::span<const uint8_t> value) {
+  const uint16_t cached = bucket_labels_[bucket];
+  return cached != kUnknownLabel ? cached : LabelOf(value);
+}
+
+void PnwStore::AdoptModel(std::shared_ptr<const ValueModel> model) {
+  InstallModel(std::move(model));
   // Algorithm 1 lines 4-5: rebuild the pool from the *available* addresses
   // (the occupancy bitmap is authoritative), labeling each by the stale
   // content resident at it. With no model every free address lands in
@@ -326,10 +351,7 @@ void PnwStore::AdoptModel(std::shared_ptr<const ValueModel> model) {
     if (GetBucketFlag(b)) {
       continue;
     }
-    const size_t label =
-        model_ != nullptr ? model_->Predict(PeekBucketValue(b), predict_scratch_)
-                          : 0;
-    pool_.Insert(label, BucketAddr(b));
+    pool_.Insert(LabelOf(PeekBucketValue(b)), BucketAddr(b));
   }
 }
 
@@ -372,11 +394,7 @@ Status PnwStore::MaybeExtendAndRetrain() {
     const size_t first_new = active_buckets_;
     active_buckets_ += grow;
     for (size_t b = first_new; b < active_buckets_; ++b) {
-      const size_t label =
-          model_ != nullptr
-              ? model_->Predict(PeekBucketValue(b), predict_scratch_)
-              : 0;
-      pool_.Insert(label, BucketAddr(b));
+      pool_.Insert(LabelOf(PeekBucketValue(b)), BucketAddr(b));
     }
     ++metrics_.extensions;
   }
@@ -400,21 +418,24 @@ Status PnwStore::MaybeExtendAndRetrain() {
 }
 
 Status PnwStore::PutInternal(uint64_t key, std::span<const uint8_t> value,
-                             const size_t* label_hint, bool hint_by_model) {
+                             const LabelHint* hint) {
   // Attribution is decided here -- the retry path below may install a model
   // mid-operation, but this placement was steered by the model (or lack of
-  // one) present at prediction time. A batch-predicted hint carries its own
-  // attribution from the batch's predict time.
-  const bool placed_by_model =
-      label_hint != nullptr ? hint_by_model : model_ != nullptr;
+  // one) present at prediction time. A batch hint was predicted by a model.
+  const bool placed_by_model = hint != nullptr || model_ != nullptr;
+  const uint64_t label_generation =
+      hint != nullptr ? hint->model_generation : model_generation_;
   // Fast path: one Predict (Algorithm 2 line 1) -- or the label the batch
   // encoder path already predicted -- and a pop from that cluster's
   // free-list. Only when the predicted cluster is empty do we pay for the
-  // full nearest-centroid ranking.
-  const size_t label = label_hint != nullptr ? *label_hint : PredictTimed(value);
+  // full nearest-centroid ranking, from the features that Predict left in
+  // the scratch (a hinted slot was predicted in the batch and encodes
+  // again).
+  const size_t label = hint != nullptr ? hint->label : PredictTimed(value);
   auto addr = pool_.Acquire(label);
   if (!addr.has_value()) {
-    const auto ranked = RankClustersTimed(value);
+    const auto ranked =
+        RankClustersTimed(value, /*just_predicted=*/hint == nullptr);
     bool fallback = false;
     addr = pool_.AcquireRanked(ranked, &fallback);
     if (addr.has_value()) {
@@ -466,14 +487,16 @@ Status PnwStore::PutInternal(uint64_t key, std::span<const uint8_t> value,
     // status-dropped: best-effort rollback inside an already-failing Put;
     // the caller sees the original write_status, not the cleanup's.
     (void)SetBucketFlag(bucket_index, false);
-    const size_t resident_label =
-        model_ != nullptr
-            ? model_->Predict(PeekBucketValue(bucket_index), predict_scratch_)
-            : 0;
-    pool_.Insert(resident_label, *addr);
+    bucket_labels_[bucket_index] = kUnknownLabel;
+    pool_.Insert(LabelOf(PeekBucketValue(bucket_index)), *addr);
     ++metrics_.failed_ops;
     return write_status;
   }
+  // The bucket now holds `value`, whose label DELETE can reuse -- unless a
+  // retrain installed another model since that label was computed.
+  bucket_labels_[bucket_index] = label_generation == model_generation_
+                                     ? static_cast<uint16_t>(label)
+                                     : kUnknownLabel;
   // Attribute only successful placements (counted alongside `puts` so the
   // predicted/fallback split always sums to the placed PUTs): a trained
   // model steered this PUT, or the store was serving model-less and the
@@ -494,7 +517,7 @@ Status PnwStore::PutInternal(uint64_t key, std::span<const uint8_t> value,
 }
 
 Status PnwStore::PutOne(uint64_t key, std::span<const uint8_t> value,
-                        const size_t* label_hint, bool hint_by_model) {
+                        const LabelHint* hint) {
   if (!bootstrapped_) {
     return Status::FailedPrecondition("Bootstrap the store before Put");
   }
@@ -502,9 +525,9 @@ Status PnwStore::PutOne(uint64_t key, std::span<const uint8_t> value,
     return Status::InvalidArgument("value size mismatch");
   }
   if (index_->Get(key).ok()) {
-    return UpdateInternal(key, value, label_hint, hint_by_model);
+    return UpdateInternal(key, value, hint);
   }
-  Status s = PutInternal(key, value, label_hint, hint_by_model);
+  Status s = PutInternal(key, value, hint);
   if (s.ok()) {
     PNW_RETURN_IF_ERROR(LogOp(persist::OpType::kPut, key, value));
   }
@@ -512,7 +535,7 @@ Status PnwStore::PutOne(uint64_t key, std::span<const uint8_t> value,
 }
 
 Status PnwStore::Put(uint64_t key, std::span<const uint8_t> value) {
-  return PutOne(key, value, /*label_hint=*/nullptr, /*hint_by_model=*/false);
+  return PutOne(key, value, /*hint=*/nullptr);
 }
 
 std::vector<Status> PnwStore::MultiPut(
@@ -538,17 +561,18 @@ std::vector<Status> PnwStore::MultiPut(
   // retrain (triggered by an earlier slot crossing the load factor) keeps
   // serving the remaining slots with these labels -- labels steer placement
   // quality only, so this trades a few possibly-stale placements for not
-  // re-predicting the tail of the batch.
+  // re-predicting the tail of the batch. The hints carry the batch-time
+  // model generation, so such a slot's label is not cached for DELETE.
   PredictBatchTimed(values);
-  const bool by_model = model_ != nullptr;
+  const bool by_model = !batch_labels_.empty();  // empty without a model
+  const uint64_t batch_generation = model_generation_;
   batch_logging_ = true;
   pending_log_.clear();
   pending_log_slots_.clear();
   for (size_t i = 0; i < keys.size(); ++i) {
     batch_slot_ = i;
-    const size_t* hint =
-        by_model && i < batch_labels_.size() ? &batch_labels_[i] : nullptr;
-    out[i] = PutOne(keys[i], values[i], hint, by_model);
+    const LabelHint hint{by_model ? batch_labels_[i] : 0, batch_generation};
+    out[i] = PutOne(keys[i], values[i], by_model ? &hint : nullptr);
   }
   batch_slot_ = SIZE_MAX;
   batch_logging_ = false;
@@ -720,13 +744,24 @@ Status PnwStore::DeleteInternal(uint64_t key) {
     // Algorithm 3 line 3: E = model.predict(Read(A)) -- an NVM read,
     // staged through the reused bucket scratch (DELETE is half of every
     // endurance-first UPDATE, so it shares the allocation-free discipline
-    // of the write path).
+    // of the write path). The read is always issued and charged; the
+    // prediction is skipped when the PUT that placed this content cached
+    // its label under the model still in service.
     PNW_RETURN_IF_ERROR(
         device_->Read(PhysBucketAddr(bucket_index), bucket_scratch_));
     const std::span<const uint8_t> value(bucket_scratch_.data() + key_bytes_,
                                          options_.value_bytes);
-    const size_t label =
-        model_ != nullptr ? model_->Predict(value, predict_scratch_) : 0;
+    const size_t label = ResidentLabel(bucket_index, value);
+#ifndef NDEBUG
+    if (bucket_labels_[bucket_index] != kUnknownLabel &&
+        label != LabelOf(value)) {
+      std::fprintf(stderr,
+                   "PnwStore: cached label %zu of bucket %zu differs from "
+                   "its re-predicted label\n",
+                   label, bucket_index);
+      std::abort();
+    }
+#endif
     pool_.Insert(label, addr.value());
   }
   --used_buckets_;
@@ -747,12 +782,11 @@ Status PnwStore::Delete(uint64_t key) {
 }
 
 Status PnwStore::Update(uint64_t key, std::span<const uint8_t> value) {
-  return UpdateInternal(key, value, /*label_hint=*/nullptr,
-                        /*hint_by_model=*/false);
+  return UpdateInternal(key, value, /*hint=*/nullptr);
 }
 
 Status PnwStore::UpdateInternal(uint64_t key, std::span<const uint8_t> value,
-                                const size_t* label_hint, bool hint_by_model) {
+                                const LabelHint* hint) {
   if (value.size() != options_.value_bytes) {
     return Status::InvalidArgument("value size mismatch");
   }
@@ -761,7 +795,7 @@ Status PnwStore::UpdateInternal(uint64_t key, std::span<const uint8_t> value,
     // `puts` keeps counting every write placed via the model; `updates`
     // additionally records that it replaced an existing key.
     PNW_RETURN_IF_ERROR(DeleteInternal(key));
-    Status s = PutInternal(key, value, label_hint, hint_by_model);
+    Status s = PutInternal(key, value, hint);
     if (s.ok()) {
       ++metrics_.updates;
       PNW_RETURN_IF_ERROR(LogOp(persist::OpType::kUpdate, key, value));
@@ -783,6 +817,8 @@ Status PnwStore::UpdateInternal(uint64_t key, std::span<const uint8_t> value,
   std::memcpy(bucket_scratch_.data() + key_bytes_, value.data(),
               options_.value_bytes);
   const size_t bucket_index = addr.value() / bucket_bytes_;
+  // The resident content changes (or may, if the write fails part-way).
+  bucket_labels_[bucket_index] = kUnknownLabel;
   {
     DeviceDeltaScope scope(device_.get(), &metrics_.put_device_ns,
                            &metrics_.put_bits_written,
@@ -889,22 +925,18 @@ Result<bool> PnwStore::MigrateBucket(size_t bucket) {
     // status-dropped: best-effort rollback of an already-failed migration;
     // the caller sees the original failure, not the cleanup's.
     (void)SetBucketFlag(dst_bucket, false);
-    const size_t resident_label =
-        model_ != nullptr
-            ? model_->Predict(PeekBucketValue(dst_bucket), predict_scratch_)
-            : 0;
-    pool_.Insert(resident_label, *dst);
+    bucket_labels_[dst_bucket] = kUnknownLabel;
+    pool_.Insert(LabelOf(PeekBucketValue(dst_bucket)), *dst);
     ++metrics_.failed_ops;
     return s;
   }
   // Free the source under the label of its (still resident, now stale)
   // content -- exactly how DELETE returns addresses, so the pool keeps
-  // placing future writes onto similar bits.
-  const size_t source_label =
-      model_ != nullptr
-          ? model_->Predict(PeekBucketValue(bucket), predict_scratch_)
-          : 0;
+  // placing future writes onto similar bits. The destination holds the
+  // same content, so it inherits that label.
+  const size_t source_label = ResidentLabel(bucket, PeekBucketValue(bucket));
   pool_.Insert(source_label, BucketAddr(bucket));
+  bucket_labels_[dst_bucket] = static_cast<uint16_t>(source_label);
   wear_->RecordBucketWrite(*dst);
   wear_->RecordPhysicalWrite(PhysBucketAddr(dst_bucket));
   ++metrics_.migrations;
@@ -974,7 +1006,7 @@ Status PnwStore::SimulateCrashAndRecover() {
         "do not survive a crash)");
   }
   // DRAM state is lost: model, pool, and (in the Fig. 2a design) the index.
-  model_ = nullptr;
+  InstallModel(nullptr);
   pool_.Clear();
   if (options_.index_placement == IndexPlacement::kDram) {
     if (key_bytes_ == 0) {
@@ -1375,7 +1407,7 @@ Status PnwStore::RestoreFrom(const persist::SnapshotReader& snap) {
     }
     // Install without AdoptModel: the pool section below restores the
     // exact checkpointed free-lists, labels and pop order included.
-    model_ = std::move(model.value());
+    InstallModel(std::move(model.value()));
     if (model_ != nullptr && model_->k() > pool_.num_clusters()) {
       return Status::Corruption(
           "snapshot model has more clusters than the address pool");

@@ -342,30 +342,36 @@ class PnwStore {
   explicit PnwStore(const PnwOptions& options);
 
   Status Init() PNW_REQUIRES(mu_);
-  /// `label_hint`, when non-null, is a cluster label the caller already
-  /// predicted for `value` (MultiPut's batch predict); `hint_by_model`
-  /// records whether a trained model produced it, deciding placement
-  /// attribution. With a null hint the label is predicted here.
+
+  /// A cluster label MultiPut's batch predict already computed for a slot's
+  /// value, with the generation of the (trained) model that computed it.
+  struct LabelHint {
+    size_t label = 0;
+    uint64_t model_generation = 0;
+  };
+
+  /// With a null `hint` the label is predicted here; a hint was predicted
+  /// by a trained model, which decides placement attribution.
   Status PutInternal(uint64_t key, std::span<const uint8_t> value,
-                     const size_t* label_hint = nullptr,
-                     bool hint_by_model = false) PNW_REQUIRES(mu_);
+                     const LabelHint* hint = nullptr) PNW_REQUIRES(mu_);
   Status DeleteInternal(uint64_t key) PNW_REQUIRES(mu_);
   /// Shared Put/MultiPut slot body: upgrade to Update when the key exists,
   /// otherwise PutInternal + op-log capture (deferred while batching).
   Status PutOne(uint64_t key, std::span<const uint8_t> value,
-                const size_t* label_hint, bool hint_by_model)
-      PNW_REQUIRES(mu_);
-  /// Update under the configured mode, reusing `label_hint` for the
+                const LabelHint* hint) PNW_REQUIRES(mu_);
+  /// Update under the configured mode, reusing `hint` for the
   /// endurance-first re-placement.
   Status UpdateInternal(uint64_t key, std::span<const uint8_t> value,
-                        const size_t* label_hint, bool hint_by_model)
-      PNW_REQUIRES(mu_);
+                        const LabelHint* hint) PNW_REQUIRES(mu_);
 
   /// Predicted-cluster ranking with wall-clock accounting; returns {0} when
   /// no model is trained yet (the store then degenerates to DCW placement,
   /// exactly the paper's k=1 behaviour). The returned span aliases
-  /// per-store scratch, valid until the next predict/rank call.
-  std::span<const size_t> RankClustersTimed(std::span<const uint8_t> value)
+  /// per-store scratch, valid until the next predict/rank call. With
+  /// `just_predicted` (`value` is what PredictTimed labeled last) it ranks
+  /// the features that call left in the scratch instead of encoding again.
+  std::span<const size_t> RankClustersTimed(std::span<const uint8_t> value,
+                                            bool just_predicted)
       PNW_REQUIRES(mu_);
   /// Single-label prediction with wall-clock accounting (the PUT fast path).
   size_t PredictTimed(std::span<const uint8_t> value) PNW_REQUIRES(mu_);
@@ -388,6 +394,21 @@ class PnwStore {
 
   /// Swap in `model` and re-label every free address under it.
   void AdoptModel(std::shared_ptr<const ValueModel> model) PNW_REQUIRES(mu_);
+
+  /// Serve `model` from now on: bumps model_generation_ and forgets every
+  /// cached bucket label (they were computed by the model being replaced).
+  /// The one place model_ changes.
+  void InstallModel(std::shared_ptr<const ValueModel> model)
+      PNW_REQUIRES(mu_);
+
+  /// Cluster label of `value` under the served model (0 while model-less),
+  /// untimed: re-labeling stored content is not client-facing predict time.
+  size_t LabelOf(std::span<const uint8_t> value) PNW_REQUIRES(mu_);
+
+  /// Cluster label of the content resident in `bucket`: the cached label
+  /// when known, else LabelOf(value), `value` being that content.
+  size_t ResidentLabel(size_t bucket, std::span<const uint8_t> value)
+      PNW_REQUIRES(mu_);
 
   /// Grow the active data zone (new free addresses labeled under the
   /// current model) and trigger retraining per options.
@@ -470,6 +491,18 @@ class PnwStore {
       PNW_GUARDED_BY(mu_);
   std::unique_ptr<ModelManager> manager_ PNW_GUARDED_BY(mu_);
   std::shared_ptr<const ValueModel> model_ PNW_GUARDED_BY(mu_);
+  /// Bumped by every InstallModel. A label computed under another
+  /// generation (a MultiPut hint that outlived a mid-batch retrain) is
+  /// never cached.
+  uint64_t model_generation_ PNW_GUARDED_BY(mu_) = 0;
+  /// DRAM-only cluster label of each bucket's resident content under the
+  /// served model, set when a PUT or migration places it, so a DELETE
+  /// returns the address to the pool without predicting again (Algorithm 3
+  /// line 3). kUnknownLabel when not known: InstallModel, an in-place
+  /// update, a rollback or Bootstrap. Never serialized; a reopened store
+  /// starts with every label unknown.
+  static constexpr uint16_t kUnknownLabel = 0xFFFF;
+  std::vector<uint16_t> bucket_labels_ PNW_GUARDED_BY(mu_);
   DynamicAddressPool pool_ PNW_GUARDED_BY(mu_);
 
   size_t active_buckets_ PNW_GUARDED_BY(mu_) = 0;

@@ -77,7 +77,7 @@ struct OpLogContents {
 ///     body = u8 op | u64 key | value bytes (body_length - 9 of them)
 ///
 /// Appends are buffered through stdio and flushed to the OS on every
-/// record; fdatasync is paid only every `sync_every` records (group
+/// record; fsync(2) is paid only every `sync_every` records (group
 /// fsync) or on an explicit Sync(). A crash can therefore lose at most the
 /// last un-synced group -- and can tear at most the final record, which
 /// recovery detects by CRC and truncates (ReadOpLog::tail_truncated).
@@ -86,7 +86,7 @@ class OpLogWriter {
   /// Open `path` for appending, creating it (with a header stamping
   /// `epoch`) if absent or empty; an existing non-empty log keeps its
   /// header (callers verify its epoch via ReadOpLog before appending).
-  /// `sync_every` = N means one fdatasync per N appended records
+  /// `sync_every` = N means one fsync per N appended records
   /// (1 = sync every record; the durable-but-slow setting).
   static Result<std::unique_ptr<OpLogWriter>> Open(const std::string& path,
                                                    size_t sync_every,
@@ -103,7 +103,7 @@ class OpLogWriter {
   /// Append a whole group of records with ONE buffer build, ONE fwrite and
   /// ONE flush to the OS -- the batched write path's amortization -- while
   /// the group-fsync policy stays record-based: the batch advances the
-  /// sync counter by its size and pays at most one (deferred) fdatasync
+  /// sync counter by its size and pays at most one (deferred) fsync
   /// when it crosses `sync_every`, instead of one flush per record. The
   /// on-disk format is unchanged: a batch of N is byte-identical to N
   /// single Appends, so ReadOpLog replays either the same way. An empty
@@ -147,6 +147,9 @@ class OpLogWriter {
 /// observed, e.g. the log size at snapshot time) skips the records before
 /// it and returns only the tail -- how a coordinated checkpoint carries
 /// the operations that raced its snapshot into the next generation's log.
+/// Only the header and the bytes from the resume point on are read, so
+/// the cost follows the tail, not the file. An offset past the end is
+/// clamped to it (no records, `valid_bytes` = the file size).
 Result<OpLogContents> ReadOpLog(const std::string& path,
                                 uint64_t resume_offset = 0);
 

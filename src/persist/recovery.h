@@ -23,7 +23,7 @@ struct RecoveryOptions {
   bool attach_op_log = true;
 
   /// Group-fsync interval handed to the re-attached op-log writer: one
-  /// fdatasync per this many appended records (1 = sync every record).
+  /// fsync per this many appended records (1 = sync every record).
   size_t op_log_sync_every = 32;
 };
 

@@ -1,12 +1,15 @@
 #include "src/persist/serializer.h"
 
 #include <fcntl.h>
+#include <sys/stat.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <bit>
 #include <cerrno>
 #include <cstring>
 #include <filesystem>
+#include <utility>
 
 namespace pnw::persist {
 
@@ -225,34 +228,68 @@ Status BufferReader::GetDoubleVec(std::vector<double>* out) {
   return Status::OK();
 }
 
-Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
-  const int fd = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
-  if (fd < 0) {
+Result<ReadOnlyFile> ReadOnlyFile::Open(const std::string& path) {
+  ReadOnlyFile file;
+  file.path_ = path;
+  file.fd_ = ::open(path.c_str(), O_RDONLY | O_CLOEXEC);
+  if (file.fd_ < 0) {
     if (errno == ENOENT) {
       return Status::NotFound("no such file: " + path);
     }
     return Status::Internal("open failed for " + path + ": " +
                             std::strerror(errno));
   }
-  std::vector<uint8_t> bytes;
-  uint8_t chunk[1 << 16];
-  for (;;) {
-    const ssize_t n = ::read(fd, chunk, sizeof(chunk));
-    if (n < 0) {
+  struct stat st {};
+  if (::fstat(file.fd_, &st) != 0) {
+    return Status::Internal("fstat failed for " + path + ": " +
+                            std::strerror(errno));
+  }
+  file.size_ = static_cast<uint64_t>(st.st_size);
+  return file;
+}
+
+ReadOnlyFile::ReadOnlyFile(ReadOnlyFile&& other) noexcept
+    : fd_(std::exchange(other.fd_, -1)),
+      size_(other.size_),
+      path_(std::move(other.path_)) {}
+
+ReadOnlyFile::~ReadOnlyFile() {
+  if (fd_ >= 0) {
+    // status-dropped: read-only descriptor, nothing buffered to lose.
+    (void)::close(fd_);
+  }
+}
+
+Result<std::vector<uint8_t>> ReadOnlyFile::Read(uint64_t offset,
+                                                uint64_t n) const {
+  const uint64_t begin = std::min(offset, size_);
+  std::vector<uint8_t> bytes(std::min(n, size_ - begin));
+  size_t got = 0;
+  while (got < bytes.size()) {
+    const ssize_t r = ::pread(fd_, bytes.data() + got, bytes.size() - got,
+                              static_cast<off_t>(begin + got));
+    if (r < 0) {
       if (errno == EINTR) {
         continue;
       }
-      const std::string err = std::strerror(errno);
-      ::close(fd);
-      return Status::Internal("read failed for " + path + ": " + err);
+      return Status::Internal("read failed for " + path_ + ": " +
+                              std::strerror(errno));
     }
-    if (n == 0) {
-      break;
+    if (r == 0) {
+      break;  // the file shrank after fstat: keep what is there
     }
-    bytes.insert(bytes.end(), chunk, chunk + n);
+    got += static_cast<size_t>(r);
   }
-  ::close(fd);
+  bytes.resize(got);
   return bytes;
+}
+
+Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path) {
+  auto file = ReadOnlyFile::Open(path);
+  if (!file.ok()) {
+    return file.status();
+  }
+  return file.value().Read(0, file.value().size());
 }
 
 Status AtomicWriteFile(const std::string& path,

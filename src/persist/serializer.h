@@ -88,7 +88,34 @@ class BufferReader {
   size_t pos_ = 0;
 };
 
-/// Read an entire file into memory. NotFound if the file does not exist.
+/// A file opened read-only for positional reads (pread). Its size is taken
+/// once, by fstat at Open; the descriptor closes with the object.
+class ReadOnlyFile {
+ public:
+  /// NotFound if `path` does not exist.
+  static Result<ReadOnlyFile> Open(const std::string& path);
+
+  ReadOnlyFile() = default;
+  ReadOnlyFile(ReadOnlyFile&& other) noexcept;
+  ReadOnlyFile& operator=(ReadOnlyFile&&) = delete;
+  ~ReadOnlyFile();
+
+  /// File size as fstat reported it at Open.
+  uint64_t size() const { return size_; }
+
+  /// Bytes [offset, offset + n), clamped to size(), in one buffer allocated
+  /// once at that length. A file that turns out shorter than size() is
+  /// returned as far as it goes; an offset at or past size() reads nothing.
+  Result<std::vector<uint8_t>> Read(uint64_t offset, uint64_t n) const;
+
+ private:
+  int fd_ = -1;
+  uint64_t size_ = 0;
+  std::string path_;
+};
+
+/// Read an entire file into memory (one fstat-sized allocation). NotFound
+/// if the file does not exist.
 Result<std::vector<uint8_t>> ReadFileBytes(const std::string& path);
 
 /// Crash-safe file replacement: write to `path + ".tmp"`, fsync the file,

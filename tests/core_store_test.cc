@@ -3,6 +3,8 @@
 #include <chrono>
 #include <cstdint>
 #include <cstring>
+#include <filesystem>
+#include <string>
 #include <span>
 #include <thread>
 #include <vector>
@@ -754,6 +756,167 @@ TEST(PnwStoreTest, Table2WorkedExample) {
   EXPECT_LE(d2_bits, 2u + 16u);
   EXPECT_EQ(store->Get(10).value()[0], d1);
   EXPECT_EQ(store->Get(11).value()[0], d2);
+}
+
+// ------------------------------------------- pool labels vs resident content
+
+/// Algorithm 1/3's pool invariant: every free address sits in the cluster
+/// its resident (stale) content predicts to under the served model. A
+/// DELETE or migration that freed an address under a stale cached label
+/// -- computed by a replaced model, or for content an in-place update has
+/// since overwritten -- breaks it.
+void ExpectPoolLabelsMatchResidentContent(PnwStore& store,
+                                          const std::string& phase) {
+  const auto model = store.model();
+  const size_t key_bytes = store.options().store_keys_in_data_zone ? 8 : 0;
+  size_t checked = 0;
+  for (size_t c = 0; c < store.pool().num_clusters(); ++c) {
+    for (const uint64_t addr : store.pool().FreeList(c)) {
+      const size_t bucket = addr / store.bucket_bytes();
+      const auto value = store.device().Peek(
+          store.PhysBucketAddr(bucket) + key_bytes, store.options().value_bytes);
+      const size_t want = model != nullptr ? model->Predict(value) : 0;
+      EXPECT_EQ(want, c) << phase << ": free bucket " << bucket;
+      ++checked;
+    }
+  }
+  EXPECT_GT(checked, 0u) << phase;
+}
+
+/// Delete every key in [first, last) that is live.
+void DeleteLive(PnwStore& store, uint64_t first, uint64_t last) {
+  for (uint64_t key = first; key < last; ++key) {
+    if (store.Get(key).ok()) {
+      ASSERT_TRUE(store.Delete(key).ok()) << key;
+    }
+  }
+}
+
+TEST(PnwStoreTest, PoolLabelsMatchResidentContent) {
+  // Endurance-first store under Start-Gap: every update below moves its key
+  // to the other content group, so a label cached for the old content
+  // would file the freed address under the wrong cluster.
+  PnwOptions options = SmallOptions();
+  options.start_gap_wear_leveling = true;
+  options.gap_write_interval = 4;
+  auto store = MakeBootstrappedStore(options);
+  ExpectPoolLabelsMatchResidentContent(*store, "bootstrap");
+  for (int round = 0; round < 6; ++round) {
+    for (uint64_t key = 0; key < 8; ++key) {
+      ASSERT_TRUE(store->Update(key, GroupValue((key + round) % 2,
+                                                static_cast<uint8_t>(round)))
+                      .ok());
+    }
+  }
+  ExpectPoolLabelsMatchResidentContent(*store, "endurance-first updates");
+  DeleteLive(*store, 0, 16);
+  ExpectPoolLabelsMatchResidentContent(*store, "deletes");
+  EXPECT_GT(store->metrics().gap_moves, 0u);
+
+  // A MultiPut whose early slots cross the load factor: the synchronous
+  // extension + retrain installs a new model mid-batch, and the later
+  // slots are placed with hints from the replaced one.
+  const uint64_t retrains_before = store->metrics().retrains;
+  std::vector<uint64_t> keys;
+  std::vector<std::vector<uint8_t>> values;
+  for (uint64_t i = 0; i < 48; ++i) {
+    keys.push_back(300 + i);
+    values.push_back(GroupValue(i % 3 == 0, static_cast<uint8_t>(i)));
+  }
+  for (const Status& s : store->MultiPut(keys, values)) {
+    ASSERT_TRUE(s.ok()) << s;
+  }
+  ASSERT_GT(store->metrics().retrains, retrains_before);
+  ExpectPoolLabelsMatchResidentContent(*store, "MultiPut mid-batch retrain");
+  DeleteLive(*store, 300, 348);
+  ExpectPoolLabelsMatchResidentContent(*store, "deletes after MultiPut");
+
+  // Injected write faults: a failed PUT rolls back, a failed in-place
+  // write leaves whatever landed.
+  ASSERT_TRUE(store->Put(500, GroupValue(0, 1)).ok());
+  store->device().InjectWriteFaults(/*skip=*/0, /*count=*/1);
+  EXPECT_FALSE(store->Put(501, GroupValue(1, 1)).ok());
+  store->device().InjectWriteFaults(/*skip=*/0, /*count=*/1);
+  EXPECT_FALSE(store->Update(500, GroupValue(1, 2)).ok());
+  store->device().InjectWriteFaults(0, 0);
+  ExpectPoolLabelsMatchResidentContent(*store, "write faults");
+  DeleteLive(*store, 500, 502);
+  ExpectPoolLabelsMatchResidentContent(*store, "deletes after faults");
+
+  // Checkpoint, more churn into the op-log, reopen by replay: the reopened
+  // store starts with no cached labels and rebuilds them while replaying.
+  const auto dir = std::filesystem::temp_directory_path() /
+                   "pnw_core_pool_labels";
+  std::filesystem::remove_all(dir);
+  std::filesystem::create_directories(dir);
+  const std::string snap = (dir / "store.snap").string();
+  ASSERT_TRUE(store->Checkpoint(snap).ok());
+  for (uint64_t key = 600; key < 616; ++key) {
+    ASSERT_TRUE(store->Put(key, GroupValue(key % 2, 3)).ok());
+  }
+  for (uint64_t key = 600; key < 608; ++key) {
+    ASSERT_TRUE(store->Update(key, GroupValue((key + 1) % 2, 4)).ok());
+  }
+  DeleteLive(*store, 604, 612);
+  auto reopened = PnwStore::Open(snap);
+  ASSERT_TRUE(reopened.ok()) << reopened.status();
+  ExpectPoolLabelsMatchResidentContent(*reopened.value(), "Open replay");
+  DeleteLive(*reopened.value(), 16, 32);
+  DeleteLive(*reopened.value(), 600, 616);
+  ExpectPoolLabelsMatchResidentContent(*reopened.value(),
+                                       "deletes after Open");
+  std::filesystem::remove_all(dir);
+
+  // Latency-first: in-place updates flip a key's group without touching
+  // the pool -- including keys whose PUT cached a label for the old
+  // content -- then migration relocates the hot buckets and deletes free
+  // both the migrated copies and the ones left behind.
+  PnwOptions latency = EnduranceOptions();
+  auto hot = MakeBootstrappedStore(latency);
+  for (uint64_t key = 700; key < 708; ++key) {
+    ASSERT_TRUE(hot->Put(key, GroupValue(key % 2, 1)).ok());
+    ASSERT_TRUE(hot->Update(key, GroupValue((key + 1) % 2, 2)).ok());
+  }
+  DeleteLive(*hot, 700, 708);
+  ExpectPoolLabelsMatchResidentContent(*hot, "latency-first updates");
+  for (int round = 0; round < 16; ++round) {
+    for (uint64_t key = 0; key < 4; ++key) {
+      ASSERT_TRUE(hot->Update(key, GroupValue((key + round) % 2,
+                                              static_cast<uint8_t>(round)))
+                      .ok());
+    }
+  }
+  auto migrated = hot->MigrateHotBuckets(8);
+  ASSERT_TRUE(migrated.ok()) << migrated.status();
+  ASSERT_GT(migrated.value(), 0u);
+  ExpectPoolLabelsMatchResidentContent(*hot, "latency-first + migration");
+  DeleteLive(*hot, 0, 32);
+  ExpectPoolLabelsMatchResidentContent(*hot, "deletes after migration");
+
+  // Background retrain: the new model is adopted by a later operation
+  // while keys placed under the old one are still live.
+  PnwOptions background = SmallOptions();
+  background.background_retrain = true;
+  background.initial_buckets = 32;
+  background.capacity_buckets = 64;
+  background.load_factor = 0.5;
+  background.retrain_min_interval = 4;
+  auto bg = MakeBootstrappedStore(background, 24);
+  for (uint64_t k = 0; k < 64; ++k) {
+    const uint64_t victim = k < 24 ? k : 2000 + (k - 24);
+    ASSERT_TRUE(bg->Delete(victim).ok()) << k;
+    ASSERT_TRUE(bg->Put(2000 + k, GroupValue(k % 3 == 0, 6)).ok());
+  }
+  for (int spin = 0; spin < 200; ++spin) {
+    if (!bg->model_manager().background_training_in_progress()) {
+      break;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  }
+  ASSERT_TRUE(bg->Delete(2063).ok());  // also collects a finished model
+  ExpectPoolLabelsMatchResidentContent(*bg, "background retrain");
+  DeleteLive(*bg, 2040, 2063);
+  ExpectPoolLabelsMatchResidentContent(*bg, "deletes after retrain");
 }
 
 }  // namespace

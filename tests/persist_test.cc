@@ -661,6 +661,146 @@ TEST_F(PersistTest, OpLogReadBackAndTornTailDetection) {
   EXPECT_TRUE(damaged.tail_truncated);
 }
 
+// ReadOpLog's resume offset: the records from a boundary on, with the
+// header (epoch) still read and valid_bytes always an absolute offset.
+TEST_F(PersistTest, OpLogResumeOffsetReadsOnlyTheTail) {
+  const std::string path = Path("resume.oplog");
+  std::vector<uint64_t> ends;  // file size after the header, then each record
+  {
+    auto writer =
+        persist::OpLogWriter::Open(path, /*sync_every=*/8, /*epoch=*/9)
+            .value();
+    ends.push_back(fs::file_size(path));
+    const std::vector<uint8_t> v1{1, 2, 3};
+    const std::vector<uint8_t> v2{4, 5};
+    ASSERT_TRUE(writer->Append(persist::OpType::kPut, 10, v1).ok());
+    ends.push_back(fs::file_size(path));
+    ASSERT_TRUE(writer->Append(persist::OpType::kUpdate, 11, v2).ok());
+    ends.push_back(fs::file_size(path));
+    ASSERT_TRUE(writer->Append(persist::OpType::kDelete, 12, {}).ok());
+    ends.push_back(fs::file_size(path));
+  }
+  const uint64_t size = fs::file_size(path);
+  ASSERT_EQ(ends.front(), 16u);
+  ASSERT_EQ(ends.back(), size);
+
+  const auto read = [&](uint64_t offset) {
+    auto contents = persist::ReadOpLog(path, offset);
+    EXPECT_TRUE(contents.ok()) << contents.status();
+    EXPECT_TRUE(contents.value().has_header);
+    EXPECT_EQ(contents.value().epoch, 9u);
+    return contents.value();
+  };
+
+  // At the header (and below it, clamped up): every record.
+  for (const uint64_t offset : {uint64_t{0}, uint64_t{16}}) {
+    const auto all = read(offset);
+    ASSERT_EQ(all.records.size(), 3u) << offset;
+    EXPECT_EQ(all.valid_bytes, size);
+    EXPECT_FALSE(all.tail_truncated);
+  }
+
+  // On a mid-log record boundary: the records after it, nothing before.
+  const auto mid = read(ends[1]);
+  ASSERT_EQ(mid.records.size(), 2u);
+  EXPECT_EQ(mid.records[0].op, persist::OpType::kUpdate);
+  EXPECT_EQ(mid.records[0].key, 11u);
+  EXPECT_EQ(mid.records[0].value, (std::vector<uint8_t>{4, 5}));
+  EXPECT_EQ(mid.records[1].op, persist::OpType::kDelete);
+  EXPECT_EQ(mid.valid_bytes, size);
+  EXPECT_FALSE(mid.tail_truncated);
+
+  // Equal to the file size, and past EOF (clamped): no records, and the
+  // valid prefix is the whole file.
+  for (const uint64_t offset : {size, size + 1000}) {
+    const auto none = read(offset);
+    EXPECT_TRUE(none.records.empty()) << offset;
+    EXPECT_EQ(none.valid_bytes, size) << offset;
+    EXPECT_FALSE(none.tail_truncated) << offset;
+  }
+
+  // Before a torn record: tear the last record, resume at the boundary
+  // before the second one.
+  fs::resize_file(path, size - 3);
+  const auto torn = read(ends[1]);
+  ASSERT_EQ(torn.records.size(), 1u);
+  EXPECT_EQ(torn.records[0].key, 11u);
+  EXPECT_EQ(torn.valid_bytes, ends[2]);
+  EXPECT_TRUE(torn.tail_truncated);
+  // Resuming right at the torn record yields nothing but the truncation.
+  const auto at_tear = read(ends[2]);
+  EXPECT_TRUE(at_tear.records.empty());
+  EXPECT_EQ(at_tear.valid_bytes, ends[2]);
+  EXPECT_TRUE(at_tear.tail_truncated);
+}
+
+// The two-phase checkpoint's carry, deterministically: operations issued
+// between WriteCheckpoint and FinishCheckpoint land in the old log after
+// the snapshot mark, and FinishCheckpoint must move exactly those -- no
+// more, no fewer -- into the new generation's log, so that Open of the new
+// snapshot replays them to the same state, wear and metrics.
+TEST_F(PersistTest, CheckpointCarriesOnlyTheOpsThatRacedTheSnapshot) {
+  for (const bool same_path : {false, true}) {
+    SCOPED_TRACE(same_path ? "same path" : "new path");
+    auto store = MakeBootstrappedStore(SmallOptions());
+    const std::string first = Path(same_path ? "same.snap" : "first.snap");
+    const std::string second = Path(same_path ? "same.snap" : "second.snap");
+    ASSERT_TRUE(store->Checkpoint(first).ok());
+    // Logged before the snapshot: folded into it, never carried.
+    for (uint64_t i = 0; i < 6; ++i) {
+      ASSERT_TRUE(store->Put(100 + i, GroupValue(i % 2, 1)).ok());
+    }
+    ASSERT_TRUE(store->Delete(0).ok());
+
+    ASSERT_TRUE(store->WriteCheckpoint(second).ok());
+    // N = 8 ops racing the snapshot: puts, an update, deletes.
+    for (uint64_t i = 0; i < 4; ++i) {
+      ASSERT_TRUE(store->Put(200 + i, GroupValue((i + 1) % 2, 2)).ok());
+    }
+    ASSERT_TRUE(store->Update(100, GroupValue(1, 3)).ok());
+    ASSERT_TRUE(store->Delete(101).ok());
+    ASSERT_TRUE(store->Delete(201).ok());
+    ASSERT_TRUE(store->Delete(1).ok());
+    ASSERT_TRUE(store->FinishCheckpoint(second).ok());
+
+    const auto log =
+        persist::ReadOpLog(second + PnwStore::kOpLogSuffix).value();
+    ASSERT_EQ(log.records.size(), 8u);
+    EXPECT_FALSE(log.tail_truncated);
+    EXPECT_EQ(log.records.front().key, 200u);
+    EXPECT_EQ(log.records[4].op, persist::OpType::kUpdate);
+    EXPECT_EQ(log.records.back().op, persist::OpType::kDelete);
+    EXPECT_EQ(log.records.back().key, 1u);
+
+    auto reopened_result = PnwStore::Open(second);
+    ASSERT_TRUE(reopened_result.ok()) << reopened_result.status();
+    auto& reopened = *reopened_result.value();
+    ExpectMetricsEqual(reopened.metrics(), store->metrics());
+    EXPECT_EQ(reopened.wear_tracker().bucket_write_counts(),
+              store->wear_tracker().bucket_write_counts());
+    EXPECT_EQ(reopened.device().counters().total_bits_written,
+              store->device().counters().total_bits_written);
+    EXPECT_EQ(reopened.device().counters().total_write_ops,
+              store->device().counters().total_write_ops);
+    EXPECT_DOUBLE_EQ(reopened.device().counters().total_latency_ns,
+                     store->device().counters().total_latency_ns);
+    EXPECT_EQ(reopened.device().word_write_counts(),
+              store->device().word_write_counts());
+    for (size_t c = 0; c < store->pool().num_clusters(); ++c) {
+      EXPECT_EQ(reopened.pool().FreeList(c), store->pool().FreeList(c));
+    }
+    EXPECT_EQ(reopened.size(), store->size());
+    for (const uint64_t key : {0, 1, 100, 101, 200, 201, 203}) {
+      const auto want = store->Get(key);
+      const auto got = reopened.Get(key);
+      ASSERT_EQ(want.ok(), got.ok()) << key;
+      if (want.ok()) {
+        EXPECT_EQ(want.value(), got.value()) << key;
+      }
+    }
+  }
+}
+
 // The crash window between a snapshot's rename and the op-log reset: the
 // durable state is then a NEW snapshot paired with the PREVIOUS epoch's
 // log. Those records are already folded into the snapshot, so recovery

@@ -232,7 +232,7 @@ BENCHMARK(BM_WriteDifferential)
 // would pass every correctness test and show up only here).
 //
 // Workload shapes mirror the kernels' real call sites: argmin over the
-// model's centroid matrix at 256 dims, the dirty-word scan over a
+// model's centroid matrix at 256 dims, the fused diff-and-store over a
 // mostly-clean bucket image (~1/32 words dirty -- endurance-first
 // overwrites touch few words; BM_WriteDifferential's 10% dirty *bytes*
 // stream above is a much denser ~55% dirty-*word* workload and is NOT the
@@ -308,35 +308,46 @@ void BM_KernelArgmin(benchmark::State& state, pnw::simd::Isa isa) {
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()));
 }
 
-void BM_KernelDiffScan(benchmark::State& state, pnw::simd::Isa isa) {
+void BM_KernelDiffStore(benchmark::State& state, pnw::simd::Isa isa) {
   PinnedIsa pin(state, isa);
   if (!pin.ok()) {
     return;
   }
-  // A 4 KiB bucket image with ~1/32 of its words dirty: the scan spends
-  // nearly all its time skipping clean words, which is exactly where the
-  // wide compare pays off.
+  // A 4 KiB bucket image rewritten in the device's 64-word blocks, with
+  // ~1/32 of its words dirty: two incoming images that differ in those
+  // words are stored alternately, so every iteration diffs, counts and
+  // stores the same dirty set.
   constexpr size_t kWords = 512;
+  constexpr size_t kBlockWords = 64;
   pnw::Rng rng(41);
-  std::vector<uint8_t> resident(kWords * 8), incoming;
-  for (auto& byte : resident) {
+  std::vector<uint8_t> images[2];
+  images[0].resize(kWords * 8);
+  for (auto& byte : images[0]) {
     byte = static_cast<uint8_t>(rng.Next());
   }
-  incoming = resident;
+  images[1] = images[0];
   for (size_t w = 7; w < kWords; w += 32) {
-    incoming[w * 8 + w % 8] ^= 0x40;
+    images[1][w * 8 + w % 8] ^= 0x40;
   }
+  std::vector<uint64_t> resident(kWords);
+  std::memcpy(resident.data(), images[0].data(), kWords * 8);
   const auto& kernels = pnw::simd::Kernels();
+  size_t next = 1;
   for (auto _ : state) {
-    size_t dirty = 0;
-    size_t w = kernels.next_dirty_word(resident.data(), incoming.data(), 0,
-                                       kWords);
-    while (w < kWords) {
-      ++dirty;
-      w = kernels.next_dirty_word(resident.data(), incoming.data(), w + 1,
-                                  kWords);
+    uint64_t bits = 0;
+    uint64_t dirty = 0;
+    for (size_t w = 0; w < kWords; w += kBlockWords) {
+      uint64_t mask = 0;
+      bits += kernels.diff_store_words(resident.data() + w,
+                                       images[next].data() + w * 8,
+                                       kBlockWords, &mask);
+      dirty |= mask;
     }
+    next ^= 1;
+    benchmark::DoNotOptimize(bits);
     benchmark::DoNotOptimize(dirty);
+    benchmark::DoNotOptimize(resident.data());
+    benchmark::ClobberMemory();
   }
   state.SetBytesProcessed(static_cast<int64_t>(state.iterations()) *
                           static_cast<int64_t>(kWords * 8));
@@ -399,7 +410,7 @@ void RegisterKernelBenchmarks() {
   } kKernelBenches[] = {
       {"BM_KernelDot", &BM_KernelDot},
       {"BM_KernelArgmin", &BM_KernelArgmin},
-      {"BM_KernelDiffScan", &BM_KernelDiffScan},
+      {"BM_KernelDiffStore", &BM_KernelDiffStore},
       {"BM_KernelHamming", &BM_KernelHamming},
       {"BM_KernelEncode", &BM_KernelEncode},
   };

@@ -17,7 +17,7 @@ Two rules close them:
   C1 (symmetry). For every `Encode<Name>` in the store codec there is a
       `Decode<Name>`, and their normalized codec-call sequences match
       element for element (PutU64<->GetU64, nested Encode<->Decode, in
-      order). The same holds per snapshot section: each
+      order; a zero-copy Put<X>Ref counts as Put<X>). The same holds per snapshot section: each
       `AddSection(kSectionX)` write block against its `Section(kSectionX)`
       read block, and the sharded manifest likewise.
 
@@ -83,11 +83,16 @@ _READ_SECTION_RE = re.compile(r"\b(?<!Add)(?:\w+\s*\.\s*)?Section\s*\(\s*(k\w+)"
 
 
 def normalize(name):
-    """Map a read-side call name onto its write-side counterpart."""
+    """Map a call name onto its canonical write-side form: a read-side
+    Get*/Decode* onto its Put*/Encode* counterpart, and a zero-copy
+    Put<X>Ref (BufferWriter's borrowed-payload form, same bytes on disk)
+    onto Put<X>."""
     if name.startswith("Get"):
         return "Put" + name[3:]
     if name.startswith("Decode"):
         return "Encode" + name[6:]
+    if name.startswith("Put") and name.endswith("Ref"):
+        return name[:-3]
     return name
 
 
@@ -128,7 +133,7 @@ def codec_pairs_text(stripped):
             name = full[len(kind):]
             for start, end, line in fw.find_function_bodies(stripped, full):
                 if kind == "Encode":
-                    seq = [n for _, n in calls_in(
+                    seq = [normalize(n) for _, n in calls_in(
                         stripped, start, end, (_PUT_RE, _ENCODE_RE))]
                 else:
                     seq = [normalize(n) for _, n in calls_in(
@@ -147,9 +152,7 @@ def codec_pairs_ast(ast, path):
         for kind in ("Encode", "Decode"):
             if not spelling.startswith(kind):
                 continue
-            seq = [c for c, _ in ast.call_sequence(fn, names_re)]
-            if kind == "Decode":
-                seq = [normalize(n) for n in seq]
+            seq = [normalize(c) for c, _ in ast.call_sequence(fn, names_re)]
             entry = pairs.setdefault(spelling[len(kind):], {})
             entry[kind] = (seq, fn.location.line)
             break
@@ -213,7 +216,7 @@ def check_sections(path, root, diagnostics):
     rel = fw.rel_path(path, root)
     stripped = fw.strip_comments(fw.read_text(path))
     writes = section_blocks(stripped, _ADD_SECTION_RE,
-                            (_PUT_RE, _ENCODE_RE), False)
+                            (_PUT_RE, _ENCODE_RE), True)
     reads = section_blocks(stripped, _READ_SECTION_RE,
                            (_GET_RE, _DECODE_RE), True)
     for ident in sorted(set(writes) | set(reads)):

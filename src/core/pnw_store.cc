@@ -690,9 +690,11 @@ std::optional<Result<std::vector<uint8_t>>> PnwStore::TryGetOptimistic(
       return Result<std::vector<uint8_t>>(
           Status::Internal("index points outside the data zone"));
     }
-    // Copy key prefix and value out of device memory with byte-wise
-    // relaxed-atomic loads: a racing differential write to this bucket is
-    // then defined behavior, and the torn copy is discarded below.
+    // Copy key prefix and value out of device memory with aligned
+    // relaxed-atomic word loads (util/atomic_bytes.h): a racing
+    // differential write to this bucket, or to a neighbour sharing its
+    // edge words, is then defined behavior, and a torn copy is discarded
+    // below.
     const uint8_t* bucket = device_->Peek(phys, bucket_bytes_).data();
     uint64_t stored_key = 0;
     if (key_bytes_ > 0) {
@@ -1068,12 +1070,15 @@ Status PnwStore::WriteCheckpoint(const std::string& path) {
     persist::EncodeStoreMetrics(metrics_, w);
   }
   {
+    // The device image and its wear histograms (~1.5x the chip size) are
+    // borrowed, not copied: they stay unchanged under the exclusive lock
+    // until WriteToFile below has streamed them.
     auto& w = snap.AddSection(kSectionDevice);
-    w.PutSizedBytes(device_->Contents());
+    w.PutSizedBytesRef(device_->Contents());
     persist::EncodeNvmCounters(device_->counters(), w);
-    w.PutU32Vec(device_->word_write_counts());
-    w.PutU32Vec(device_->line_write_counts());
-    w.PutU16Vec(device_->bit_write_counts());
+    w.PutU32VecRef(device_->word_write_counts());
+    w.PutU32VecRef(device_->line_write_counts());
+    w.PutU16VecRef(device_->bit_write_counts());
   }
   {
     auto& w = snap.AddSection(kSectionWear);

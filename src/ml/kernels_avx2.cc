@@ -26,6 +26,8 @@
 #include <cstring>
 #include <limits>
 
+#include "src/util/atomic_bytes.h"
+
 namespace pnw::simd {
 
 namespace {
@@ -190,34 +192,43 @@ uint64_t HammingBytesAvx2(const uint8_t* a, const uint8_t* b, size_t n) {
   return total;
 }
 
-size_t NextDirtyWordAvx2(const uint8_t* resident, const uint8_t* incoming,
-                         size_t from, size_t words) {
-  size_t w = from;
-  // Four words per compare: a clean 32-byte block is skipped with one
-  // cmpeq+movemask; a dirty block falls through to the word probe below.
+uint64_t DiffStoreWordsAvx2(uint64_t* resident, const uint8_t* incoming,
+                            size_t words, uint64_t* dirty_mask) {
+  const __m256i zero = _mm256_setzero_si256();
+  __m256i acc = zero;
+  uint64_t mask = 0;
+  size_t w = 0;
+  // Four words per step: one XOR, the nibble-LUT popcount into per-word
+  // lanes, and a 64-bit compare whose movemask yields the four clean bits.
+  // The stores stay four scalar relaxed-atomic words (a vector store is not
+  // an atomic access racing readers may overlap).
   for (; w + 4 <= words; w += 4) {
-    const __m256i r = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(resident + w * 8));
-    const __m256i i = _mm256_loadu_si256(
-        reinterpret_cast<const __m256i*>(incoming + w * 8));
-    const __m256i eq = _mm256_cmpeq_epi8(r, i);
-    const uint32_t mask = static_cast<uint32_t>(_mm256_movemask_epi8(eq));
-    if (mask != 0xffffffffu) {
-      // First dirty byte's word within the block.
-      const uint32_t dirty = ~mask;
-      return w + static_cast<size_t>(std::countr_zero(dirty)) / 8;
+    const __m256i r =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(resident + w));
+    const __m256i in =
+        _mm256_loadu_si256(reinterpret_cast<const __m256i*>(incoming + w * 8));
+    const __m256i diff = _mm256_xor_si256(r, in);
+    acc = _mm256_add_epi64(acc, PopcountLanes(diff));
+    const auto clean = static_cast<uint64_t>(_mm256_movemask_pd(
+        _mm256_castsi256_pd(_mm256_cmpeq_epi64(diff, zero))));
+    mask |= (~clean & 0xFu) << w;
+    for (size_t j = w; j < w + 4; ++j) {
+      uint64_t next;
+      std::memcpy(&next, incoming + j * 8, 8);
+      util::AtomicStoreWord(resident + j, next);
     }
   }
+  uint64_t bits = HorizontalSum64(acc);
   for (; w < words; ++w) {
-    uint64_t r;
-    uint64_t i;
-    std::memcpy(&r, resident + w * 8, 8);
-    std::memcpy(&i, incoming + w * 8, 8);
-    if (r != i) {
-      return w;
-    }
+    uint64_t next;
+    std::memcpy(&next, incoming + w * 8, 8);
+    const uint64_t diff = resident[w] ^ next;
+    bits += static_cast<uint64_t>(std::popcount(diff));
+    mask |= uint64_t{diff != 0} << w;
+    util::AtomicStoreWord(resident + w, next);
   }
-  return words;
+  *dirty_mask = mask;
+  return bits;
 }
 
 /// Folds the 128-bit accumulator `acc` forward onto the 16 data bytes that
@@ -302,7 +313,7 @@ constexpr KernelTable MakeAvx2Table(
   return {
       Isa::kAvx2,        DotAvx2,          ArgminCentroidsAvx2,
       DotCenteredAvx2,   EncodeAccumulateAvx2,
-      PopcountBytesAvx2, HammingBytesAvx2, NextDirtyWordAvx2,
+      PopcountBytesAvx2, HammingBytesAvx2, DiffStoreWordsAvx2,
       crc32_update,
   };
 }

@@ -29,6 +29,8 @@
 #include <cstring>
 #include <limits>
 
+#include "src/util/atomic_bytes.h"
+
 namespace pnw::simd {
 
 namespace {
@@ -181,38 +183,40 @@ uint64_t HammingBytesNeon(const uint8_t* a, const uint8_t* b, size_t n) {
   return total;
 }
 
-size_t NextDirtyWordNeon(const uint8_t* resident, const uint8_t* incoming,
-                         size_t from, size_t words) {
-  size_t w = from;
-  // Two words per compare: XOR the 16-byte block and check for any set
-  // bit via the max across lanes.
+uint64_t DiffStoreWordsNeon(uint64_t* resident, const uint8_t* incoming,
+                            size_t words, uint64_t* dirty_mask) {
+  uint64_t bits = 0;
+  uint64_t mask = 0;
+  size_t w = 0;
+  // Two words per step: vcnt + pairwise widening adds leave each word's
+  // popcount in its own 64-bit lane, which decides its dirty bit too. The
+  // stores stay scalar relaxed-atomic words.
   for (; w + 2 <= words; w += 2) {
-    const uint8x16_t r = vld1q_u8(resident + w * 8);
-    const uint8x16_t i = vld1q_u8(incoming + w * 8);
-    const uint8x16_t diff = veorq_u8(r, i);
-#if defined(__aarch64__)
-    if (vmaxvq_u8(diff) == 0) {
-      continue;
+    const uint8x16_t diff =
+        veorq_u8(vreinterpretq_u8_u64(vld1q_u64(resident + w)),
+                 vld1q_u8(incoming + w * 8));
+    const uint64x2_t counts =
+        vpaddlq_u32(vpaddlq_u16(vpaddlq_u8(vcntq_u8(diff))));
+    const uint64_t c0 = vgetq_lane_u64(counts, 0);
+    const uint64_t c1 = vgetq_lane_u64(counts, 1);
+    bits += c0 + c1;
+    mask |= (uint64_t{c0 != 0} << w) | (uint64_t{c1 != 0} << (w + 1));
+    for (size_t j = w; j < w + 2; ++j) {
+      uint64_t next;
+      std::memcpy(&next, incoming + j * 8, 8);
+      util::AtomicStoreWord(resident + j, next);
     }
-#else
-    const uint64x2_t d64 = vreinterpretq_u64_u8(diff);
-    if ((vgetq_lane_u64(d64, 0) | vgetq_lane_u64(d64, 1)) == 0) {
-      continue;
-    }
-#endif
-    const uint64x2_t d = vreinterpretq_u64_u8(diff);
-    return vgetq_lane_u64(d, 0) != 0 ? w : w + 1;
   }
   for (; w < words; ++w) {
-    uint64_t r;
-    uint64_t i;
-    std::memcpy(&r, resident + w * 8, 8);
-    std::memcpy(&i, incoming + w * 8, 8);
-    if (r != i) {
-      return w;
-    }
+    uint64_t next;
+    std::memcpy(&next, incoming + w * 8, 8);
+    const uint64_t diff = resident[w] ^ next;
+    bits += static_cast<uint64_t>(std::popcount(diff));
+    mask |= uint64_t{diff != 0} << w;
+    util::AtomicStoreWord(resident + w, next);
   }
-  return words;
+  *dirty_mask = mask;
+  return bits;
 }
 
 #if defined(PNW_NEON_CRC32)
@@ -234,7 +238,7 @@ uint32_t Crc32Arm(uint32_t state, const uint8_t* p, size_t n) {
 constexpr KernelTable kNeonTable = {
     Isa::kNeon,        DotNeon,          ArgminCentroidsNeon,
     DotCenteredNeon,   EncodeAccumulateNeon,
-    PopcountBytesNeon, HammingBytesNeon, NextDirtyWordNeon,
+    PopcountBytesNeon, HammingBytesNeon, DiffStoreWordsNeon,
 #if defined(PNW_NEON_CRC32)
     Crc32Arm,
 #else

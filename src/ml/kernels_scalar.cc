@@ -16,6 +16,8 @@
 #include <limits>
 #include <string_view>
 
+#include "src/util/atomic_bytes.h"
+
 namespace pnw::simd {
 
 namespace {
@@ -124,18 +126,22 @@ uint64_t HammingBytesScalar(const uint8_t* a, const uint8_t* b, size_t n) {
   return total;
 }
 
-size_t NextDirtyWordScalar(const uint8_t* resident, const uint8_t* incoming,
-                           size_t from, size_t words) {
-  for (size_t w = from; w < words; ++w) {
-    uint64_t r;
-    uint64_t i;
-    std::memcpy(&r, resident + w * 8, 8);
-    std::memcpy(&i, incoming + w * 8, 8);
-    if (r != i) {
-      return w;
+uint64_t DiffStoreWordsScalar(uint64_t* resident, const uint8_t* incoming,
+                              size_t words, uint64_t* dirty_mask) {
+  uint64_t bits = 0;
+  uint64_t mask = 0;
+  for (size_t w = 0; w < words; ++w) {
+    uint64_t next;
+    std::memcpy(&next, incoming + w * 8, 8);
+    const uint64_t diff = resident[w] ^ next;
+    if (diff != 0) {
+      bits += static_cast<uint64_t>(std::popcount(diff));
+      mask |= uint64_t{1} << w;
     }
+    util::AtomicStoreWord(resident + w, next);
   }
-  return words;
+  *dirty_mask = mask;
+  return bits;
 }
 
 /// table[0] is the classic byte-at-a-time CRC table; table[k][b] is the
@@ -171,7 +177,7 @@ uint32_t LoadLe32(const uint8_t* p) {
 constexpr KernelTable kScalarTable = {
     Isa::kScalar,        DotScalar,          ArgminCentroidsScalar,
     DotCenteredScalar,   EncodeAccumulateScalar,
-    PopcountBytesScalar, HammingBytesScalar, NextDirtyWordScalar,
+    PopcountBytesScalar, HammingBytesScalar, DiffStoreWordsScalar,
     Crc32Slice8,
 };
 

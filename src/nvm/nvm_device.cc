@@ -33,9 +33,14 @@ NvmDevice::NvmDevice(const NvmConfig& config)
               config.cache_line_bytes,
           0) {
   size_ = config_.size_bytes;
-  data_ = static_cast<uint8_t*>(
-      arena_.Allocate(size_ > 0 ? size_ : 1, /*align=*/4096));
-  std::memset(data_, 0, size_);  // mmap zeroes, the fallback path may not
+  // Whole words, so the word-granular accesses of util/atomic_bytes.h that
+  // cover the last bytes never leave the allocation.
+  const size_t alloc_bytes =
+      std::max<size_t>(util::kAtomicWordBytes,
+                       (size_ + util::kAtomicWordBytes - 1) &
+                           ~(util::kAtomicWordBytes - 1));
+  data_ = static_cast<uint8_t*>(arena_.Allocate(alloc_bytes, /*align=*/4096));
+  std::memset(data_, 0, alloc_bytes);  // mmap zeroes, the fallback may not
   if (config_.track_bit_wear) {
     bit_write_counts_.assign(config_.size_bytes * 8, 0);
   }
@@ -140,86 +145,89 @@ Result<WriteResult> NvmDevice::WriteConventional(
   return result;
 }
 
+void NvmDevice::AttributeBitWear(uint64_t addr, const uint8_t* incoming,
+                                 size_t len) {
+  // Rare, memory-heavy mode: attribute changed bits bytewise (endian-
+  // independent) before the resident bytes are overwritten.
+  for (size_t j = 0; j < len; ++j) {
+    uint8_t d = static_cast<uint8_t>(data_[addr + j] ^ incoming[j]);
+    while (d) {
+      const int bit = std::countr_zero(d);
+      ++bit_write_counts_[(addr + j) * 8 + static_cast<uint64_t>(bit)];
+      d = static_cast<uint8_t>(d & (d - 1));
+    }
+  }
+}
+
 void NvmDevice::DiffWords(uint64_t addr, std::span<const uint8_t> data,
                           WriteResult* result) {
-  // Word-at-a-time: the span is walked in word_bytes(=8) units aligned to
-  // the device's word grid -- a partial head/tail unit is loaded through a
-  // short zero-padded memcpy (equal padding XORs to zero), a full unit
-  // through a single unaligned 8-byte load. One XOR + popcount decides a
-  // whole word; clean words cost no byte work at all, and the fully-covered
-  // middle region is scanned for dirty words by the dispatched
-  // next_dirty_word kernel (32 bytes per compare on AVX2), which only ever
-  // skips words this loop would `continue` over -- the accounting below is
-  // bit-identical to visiting every word. Because a word unit never
-  // straddles a cache line here (8 | cache_line_bytes), per-unit line
-  // attribution is exact, and because units are visited in address order
-  // the `prev_line` dedup reproduces the byte loop's line counting.
-  const size_t wb = config_.word_bytes;
+  // Word-at-a-time on the device's absolute 8-byte grid (data_ is page
+  // aligned): the fully covered words go through the fused
+  // diff_store_words kernel in blocks of up to 64, which XORs, popcounts,
+  // reports one dirty bit per word and stores every word as one relaxed
+  // atomic (the seqlock contract of util/atomic_bytes.h). A partial head or
+  // tail word is merged into a copy of its resident word and sent through
+  // the same kernel as a one-word block, so equal bytes XOR to zero and the
+  // kernel's whole-word store is the read-modify-write. Because a word
+  // never straddles a cache line here (8 | cache_line_bytes), per-word line
+  // attribution is exact, and because blocks and the words of a mask are
+  // visited in address order the `prev_line` dedup reproduces the byte
+  // loop's line counting.
+  constexpr size_t kWord = util::kAtomicWordBytes;
+  constexpr size_t kBlockWords = 64;  // one bit per word of a dirty mask
+  const auto diff_store = simd::Kernels().diff_store_words;
+  auto* const words = reinterpret_cast<uint64_t*>(data_);
   const uint64_t end = addr + data.size();
-  const bool track_bits = config_.track_bit_wear;
   uint64_t prev_line = UINT64_MAX;
-  const uint64_t last_word = (end - 1) / wb;
 
-  auto process_word = [&](uint64_t w) {
-    const uint64_t lo = std::max<uint64_t>(addr, w * wb);
-    const uint64_t hi = std::min<uint64_t>(end, (w + 1) * wb);
-    const size_t len = hi - lo;
-    uint8_t* resident = data_ + lo;
-    const uint8_t* incoming = data.data() + (lo - addr);
-    uint64_t old_word = 0;
-    uint64_t new_word = 0;
-    std::memcpy(&old_word, resident, len);
-    std::memcpy(&new_word, incoming, len);
-    const uint64_t diff = old_word ^ new_word;
-    if (diff == 0) {
-      return;
+  // Diff-and-store `count` words from word index `first`, then account the
+  // dirty ones.
+  auto store_block = [&](uint64_t first, const uint8_t* incoming,
+                         size_t count) {
+    if (config_.track_bit_wear) {
+      AttributeBitWear(first * kWord, incoming, count * kWord);
     }
-    result->bits_written += std::popcount(diff);
-    if (track_bits) {
-      // Rare, memory-heavy mode: attribute changed bits bytewise (endian-
-      // independent) before the resident bytes are overwritten.
-      for (size_t j = 0; j < len; ++j) {
-        uint8_t d = static_cast<uint8_t>(resident[j] ^ incoming[j]);
-        while (d) {
-          const int bit = std::countr_zero(d);
-          ++bit_write_counts_[(lo + j) * 8 + static_cast<uint64_t>(bit)];
-          d = static_cast<uint8_t>(d & (d - 1));
-        }
+    uint64_t mask = 0;
+    result->bits_written += diff_store(words + first, incoming, count, &mask);
+    for (; mask != 0; mask &= mask - 1) {
+      const uint64_t w = first + static_cast<uint64_t>(std::countr_zero(mask));
+      ++result->words_written;
+      ++word_write_counts_[w];
+      const uint64_t line = w * kWord / config_.cache_line_bytes;
+      if (line != prev_line) {
+        ++result->lines_written;
+        ++line_write_counts_[line];
+        prev_line = line;
       }
     }
-    util::AtomicStoreBytes(resident, incoming, len);
-    ++result->words_written;
-    ++word_write_counts_[w];
-    const uint64_t line = lo / config_.cache_line_bytes;
-    if (line != prev_line) {
-      ++result->lines_written;
-      ++line_write_counts_[line];
-      prev_line = line;
-    }
+  };
+  // Bytes [lo, hi) of one word: merge them into the resident word.
+  auto store_partial = [&](uint64_t lo, uint64_t hi) {
+    const uint64_t w = lo / kWord;
+    uint64_t merged = words[w];
+    std::memcpy(reinterpret_cast<uint8_t*>(&merged) + (lo - w * kWord),
+                data.data() + (lo - addr), hi - lo);
+    store_block(w, reinterpret_cast<const uint8_t*>(&merged), 1);
   };
 
   // Word grid split: at most one partial head word, a run of fully covered
-  // words, at most one partial tail word. (A single word partial on both
-  // ends makes full_begin > full_end; the head loop then covers it alone.)
-  const uint64_t full_begin = (addr + wb - 1) / wb;
-  const uint64_t full_end = end / wb;
-  uint64_t w = addr / wb;
-  for (; w <= last_word && w < full_begin; ++w) {
-    process_word(w);
+  // words, at most one partial tail word. A range inside a single word
+  // (full_begin > full_end) is one partial word.
+  const uint64_t full_begin = (addr + kWord - 1) / kWord;
+  const uint64_t full_end = end / kWord;
+  if (full_begin > full_end) {
+    store_partial(addr, end);
+    return;
   }
-  if (full_begin < full_end) {
-    const uint8_t* resident_base = data_ + full_begin * wb;
-    const uint8_t* incoming_base = data.data() + (full_begin * wb - addr);
-    const size_t words = full_end - full_begin;
-    const auto next_dirty = simd::Kernels().next_dirty_word;
-    for (size_t idx = next_dirty(resident_base, incoming_base, 0, words);
-         idx < words;
-         idx = next_dirty(resident_base, incoming_base, idx + 1, words)) {
-      process_word(full_begin + idx);
-    }
+  if (addr < full_begin * kWord) {
+    store_partial(addr, full_begin * kWord);
   }
-  for (w = std::max(full_begin, full_end); w <= last_word; ++w) {
-    process_word(w);
+  for (uint64_t w = full_begin; w < full_end; w += kBlockWords) {
+    store_block(w, data.data() + (w * kWord - addr),
+                std::min<uint64_t>(kBlockWords, full_end - w));
+  }
+  if (full_end * kWord < end) {
+    store_partial(full_end * kWord, end);
   }
 }
 

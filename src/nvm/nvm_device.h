@@ -24,8 +24,9 @@ struct NvmConfig {
   /// Keep a per-bit write counter (memory-heavy: 2 bytes per stored bit).
   /// Needed only by the wear-leveling experiments (paper Fig. 13).
   bool track_bit_wear = false;
-  /// Use the word-at-a-time differential-write inner loop (uint64_t loads,
-  /// XOR, popcount; unaligned head/tail handled bytewise). Accounting is
+  /// Use the word-at-a-time differential-write inner loop (the fused
+  /// diff_store_words kernel; a partial head/tail word is merged into its
+  /// resident word and stored whole). Accounting is
   /// bit-identical to the byte-at-a-time reference loop, which is retained
   /// and used when this is false -- the equivalence property tests compare
   /// the two -- or when the geometry rules the fast path out
@@ -192,14 +193,18 @@ class NvmDevice {
                  WriteResult* result);
   void DiffBytesReference(uint64_t addr, std::span<const uint8_t> data,
                           WriteResult* result);
+  /// track_bit_wear: count every bit of data_[addr, addr + len) that
+  /// differs from `incoming`, before the store overwrites it.
+  void AttributeBitWear(uint64_t addr, const uint8_t* incoming, size_t len);
 
   uint64_t fault_skip_ = 0;
   uint64_t fault_count_ = 0;
   NvmConfig config_;
   LatencyModel latency_model_;
   /// The simulated array lives in an mmap'd arena slab (huge-page advised
-  /// when configured), not a std::vector: one contiguous allocation whose
-  /// pages are never recycled, which the seqlock read path relies on.
+  /// when configured), not a std::vector: one contiguous, page-aligned
+  /// allocation, rounded up to whole 8-byte words, whose pages are never
+  /// recycled, which the seqlock read path relies on.
   util::Arena arena_;
   uint8_t* data_ = nullptr;
   size_t size_ = 0;

@@ -57,6 +57,51 @@ void BufferWriter::PutU32Vec(const std::vector<uint32_t>& v) {
   }
 }
 
+void BufferWriter::Borrow(std::span<const uint8_t> bytes) {
+  if (!bytes.empty()) {
+    borrowed_.push_back(Borrowed{buf_.size(), bytes});
+    borrowed_bytes_ += bytes.size();
+  }
+}
+
+void BufferWriter::PutSizedBytesRef(std::span<const uint8_t> bytes) {
+  PutU64(bytes.size());
+  Borrow(bytes);
+}
+
+void BufferWriter::PutU16VecRef(const std::vector<uint16_t>& v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    PutU64(v.size());
+    Borrow({reinterpret_cast<const uint8_t*>(v.data()), v.size() * 2});
+  } else {
+    PutU16Vec(v);
+  }
+}
+
+void BufferWriter::PutU32VecRef(const std::vector<uint32_t>& v) {
+  if constexpr (std::endian::native == std::endian::little) {
+    PutU64(v.size());
+    Borrow({reinterpret_cast<const uint8_t*>(v.data()), v.size() * 4});
+  } else {
+    PutU32Vec(v);
+  }
+}
+
+void BufferWriter::AppendParts(
+    std::vector<std::span<const uint8_t>>* parts) const {
+  size_t pos = 0;
+  for (const Borrowed& b : borrowed_) {
+    if (b.at > pos) {
+      parts->emplace_back(buf_.data() + pos, b.at - pos);
+      pos = b.at;
+    }
+    parts->push_back(b.bytes);
+  }
+  if (pos < buf_.size()) {
+    parts->emplace_back(buf_.data() + pos, buf_.size() - pos);
+  }
+}
+
 void BufferWriter::PutU64Vec(const std::vector<uint64_t>& v) {
   PutU64(v.size());
   for (uint64_t x : v) {

@@ -35,15 +35,46 @@ class BufferWriter {
   void PutFloatVec(const std::vector<float>& v);
   void PutDoubleVec(const std::vector<double>& v);
 
+  /// Zero-copy forms of PutSizedBytes / PutU16Vec / PutU32Vec for the
+  /// large snapshot payloads (the device image and its wear histograms):
+  /// the same bytes reach the file, but the payload is *borrowed* -- kept
+  /// as a span into the caller's memory instead of copied -- so it must
+  /// stay alive and unchanged until the writer's parts are consumed (see
+  /// AppendParts). The vector forms borrow on little-endian hosts, where
+  /// the in-memory elements already are their encoding, and encode (copy)
+  /// elsewhere.
+  void PutSizedBytesRef(std::span<const uint8_t> bytes);
+  void PutU16VecRef(const std::vector<uint16_t>& v);
+  void PutU32VecRef(const std::vector<uint32_t>& v);
+
+  /// The owned bytes. Only the whole content while nothing is borrowed;
+  /// a writer holding Put*Ref payloads is read through AppendParts.
   const std::vector<uint8_t>& data() const { return buf_; }
-  size_t size() const { return buf_.size(); }
+  /// Content length, borrowed payloads included.
+  size_t size() const { return buf_.size() + borrowed_bytes_; }
+  /// Append the content to `parts` in order: runs of the owned buffer
+  /// interleaved with the borrowed spans.
+  void AppendParts(std::vector<std::span<const uint8_t>>* parts) const;
   /// Drop the content but keep the capacity, so a writer reused as a
   /// per-record scratch (the op-log's append path) stops allocating once
   /// warm.
-  void Clear() { buf_.clear(); }
+  void Clear() {
+    buf_.clear();
+    borrowed_.clear();
+    borrowed_bytes_ = 0;
+  }
 
  private:
+  /// A borrowed span, spliced into the content at owned offset `at`.
+  struct Borrowed {
+    size_t at;
+    std::span<const uint8_t> bytes;
+  };
+  void Borrow(std::span<const uint8_t> bytes);
+
   std::vector<uint8_t> buf_;
+  std::vector<Borrowed> borrowed_;
+  size_t borrowed_bytes_ = 0;
 };
 
 /// Bounds-checked little-endian decoder over a borrowed byte span. Every

@@ -13,26 +13,34 @@ BufferWriter& SnapshotWriter::AddSection(uint32_t id) {
 
 Status SnapshotWriter::WriteToFile(const std::string& path) const {
   // Stream header + per-section frames + the payloads themselves straight
-  // from their owning buffers: no second full-container copy in memory
-  // (the device-contents section alone is the size of the simulated
-  // chip).
+  // from their owning buffers -- and the Put*Ref payloads from their
+  // owners' memory: no copy of the container, nor of the device image and
+  // its wear histograms, is ever made (the device-contents section alone
+  // is the size of the simulated chip).
   BufferWriter header;
   header.PutU32(kSnapshotMagic);
   header.PutU32(kSnapshotContainerVersion);
   header.PutU32(payload_version_);
   header.PutU32(static_cast<uint32_t>(sections_.size()));
   std::vector<BufferWriter> frames;
-  frames.reserve(sections_.size());
+  frames.reserve(sections_.size());  // frame buffers must not move
   std::vector<std::span<const uint8_t>> parts;
-  parts.reserve(1 + 2 * sections_.size());
   parts.emplace_back(header.data());
   for (const auto& [id, payload] : sections_) {
+    // The frame goes first but carries the payload CRC, chained over the
+    // payload's parts (owned runs and borrowed spans alike).
+    const size_t frame_part = parts.size();
+    parts.emplace_back();
+    payload.AppendParts(&parts);
+    uint32_t crc = kCrc32Init;
+    for (size_t p = frame_part + 1; p < parts.size(); ++p) {
+      crc = Crc32Update(crc, parts[p]);
+    }
     BufferWriter& frame = frames.emplace_back();
     frame.PutU32(id);
     frame.PutU64(payload.size());
-    frame.PutU32(Crc32(payload.data()));
-    parts.emplace_back(frame.data());
-    parts.emplace_back(payload.data());
+    frame.PutU32(Crc32Finish(crc));
+    parts[frame_part] = frame.data();
   }
   return AtomicWriteFileParts(path, parts);
 }

@@ -46,8 +46,9 @@ class SnapshotWriter {
   BufferWriter& AddSection(uint32_t id);
 
   /// Stream header + CRC-framed sections to `path` atomically (temp file
-  /// + fsync + rename), straight from the section buffers -- no second
-  /// full-container copy in memory.
+  /// + fsync + rename), straight from the section buffers and the memory
+  /// their Put*Ref payloads borrow -- no second full-container copy in
+  /// memory. Borrowed payloads must be unchanged until this returns.
   Status WriteToFile(const std::string& path) const;
 
  private:

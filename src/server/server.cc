@@ -516,6 +516,9 @@ void PnwServer::RespondStats(Connection& conn, const Request& request) {
   add("store.puts", t.puts);
   add("store.gets", t.gets.load());
   add("store.get_misses", t.get_misses.load());
+  add("store.optimistic_gets", t.optimistic_gets.load());
+  add("store.locked_gets", t.locked_gets.load());
+  add("store.optimistic_retries", t.optimistic_retries.load());
   add("store.deletes", t.deletes);
   add("store.updates", t.updates);
   add("store.failed_ops", t.failed_ops);
@@ -523,16 +526,25 @@ void PnwServer::RespondStats(Connection& conn, const Request& request) {
   add("store.predicted_placements", t.predicted_placements);
   add("store.fallback_placements", t.fallback_placements);
   add("store.pool_fallbacks", t.pool_fallbacks);
+  add("store.retrains", t.retrains);
+  add("store.failed_retrains", t.failed_retrains);
   add("store.extensions", t.extensions);
   add("store.migrations", t.migrations);
   add("store.gap_moves", t.gap_moves);
   add("store.put_bits_written", t.put_bits_written);
   add("store.put_payload_bits", t.put_payload_bits);
   add("store.put_lines_written", t.put_lines_written);
+  add("store.put_words_written", t.put_words_written);
   add("store.put_device_ns", static_cast<uint64_t>(t.put_device_ns));
   add("store.get_device_ns", static_cast<uint64_t>(t.get_device_ns.load()));
+  add("store.delete_device_ns", static_cast<uint64_t>(t.delete_device_ns));
+  add("store.wear_device_ns", static_cast<uint64_t>(t.wear_device_ns));
   add("store.predict_wall_ns", static_cast<uint64_t>(t.predict_wall_ns));
   add("store.log_wall_ns", static_cast<uint64_t>(t.log_wall_ns));
+  add("store.arena_slabs", t.arena_slabs.load());
+  add("store.arena_slab_bytes", t.arena_slab_bytes.load());
+  add("store.arena_live_bytes", t.arena_live_bytes.load());
+  add("store.arena_high_water_bytes", t.arena_high_water_bytes.load());
   add("store.num_shards", store_->num_shards());
   add("server.connections_accepted", metrics_.connections_accepted.load());
   add("server.connections_closed", metrics_.connections_closed.load());

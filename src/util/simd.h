@@ -1,7 +1,7 @@
 // Runtime-dispatched SIMD kernels for the hot loops of the placement
 // pipeline (dot product, fused centroid argmin, PCA projection, bit-feature
-// encode), of the NVM substrate (popcount/Hamming distance, the
-// differential-write dirty-word scan) and of the durability layer (the
+// encode), of the NVM substrate (popcount/Hamming distance, the fused
+// differential-write diff-and-store) and of the durability layer (the
 // CRC-32 every snapshot section and op-log record carries).
 //
 // Contract: every kernel is BIT-IDENTICAL across ISAs. The floating-point
@@ -83,11 +83,16 @@ struct KernelTable {
   /// popcount(a XOR b) over n bytes (Hamming distance in bits).
   uint64_t (*hamming_bytes)(const uint8_t* a, const uint8_t* b, size_t n);
 
-  /// Differential-write scan: first word index w in [from, words) whose
-  /// 8-byte words resident[w*8..] and incoming[w*8..] differ; `words` when
-  /// all remaining words are clean. Unaligned pointers are fine.
-  size_t (*next_dirty_word)(const uint8_t* resident, const uint8_t* incoming,
-                            size_t from, size_t words);
+  /// Fused differential-write kernel over `words` (at most 64) full 8-byte
+  /// words: diff = resident[w] ^ incoming word w; sets bit w of *dirty_mask
+  /// exactly when diff != 0, returns the total popcount of the diffs (the
+  /// bits a DCW write flips), and stores every incoming word into
+  /// resident[w] as one relaxed atomic word (util::AtomicStoreWord), so
+  /// seqlock readers racing the write stay defined. A clean word stores its
+  /// own value: cheaper than branching around the store. `resident` is the
+  /// 8-byte-aligned device grid; `incoming` may be unaligned.
+  uint64_t (*diff_store_words)(uint64_t* resident, const uint8_t* incoming,
+                               size_t words, uint64_t* dirty_mask);
 
   /// Reflected CRC-32 (polynomial 0xEDB88320, the zlib/gzip CRC) of p[0, n)
   /// fed into the running register `state`: no pre- or post-inversion here

@@ -196,38 +196,72 @@ TEST(KernelsTest, PopcountAndHammingMatchByteReference) {
   }
 }
 
-TEST(KernelsTest, NextDirtyWordMatchesReferenceScan) {
+TEST(KernelsTest, DiffStoreWordsMatchesReferenceOnEveryIsa) {
+  // Every table against a byte loop: total flipped bits, one dirty-mask
+  // bit per word whose bytes changed, resident bytes equal to the incoming
+  // ones afterwards, and the guard word past the range untouched. Ranges
+  // longer than 64 words go through the kernel in 64-word blocks, the way
+  // NvmDevice::DiffWords calls it.
+  constexpr size_t kBlockWords = 64;
   std::mt19937 rng(23);
-  const auto ref_scan = [](const uint8_t* a, const uint8_t* b, size_t from,
-                           size_t words) {
-    for (size_t w = from; w < words; ++w) {
-      if (std::memcmp(a + w * 8, b + w * 8, 8) != 0) {
-        return w;
-      }
-    }
-    return words;
-  };
   for (const Isa isa : AvailableIsas()) {
     const KernelTable* table = TableFor(isa);
-    for (size_t words : {0, 1, 2, 3, 4, 5, 8, 16, 33, 100}) {
-      for (size_t offset : {0, 1, 3}) {  // unaligned base pointers are legal
-        std::vector<uint8_t> a(words * 8 + offset), b;
-        FillBytes(rng, a);
-        b = a;  // start all-clean
-        for (int dirties = 0; dirties < 3; ++dirties) {
-          for (size_t from : {size_t{0}, words / 2, words}) {
-            EXPECT_EQ(table->next_dirty_word(a.data() + offset,
-                                             b.data() + offset, from, words),
-                      ref_scan(a.data() + offset, b.data() + offset, from,
-                               words))
-                << IsaName(isa) << " words=" << words << " from=" << from;
+    for (size_t words = 0; words <= 130; ++words) {
+      for (size_t offset : {0, 1, 5}) {  // incoming may be unaligned
+        std::vector<uint8_t> before(words * 8);
+        FillBytes(rng, before);
+        std::vector<uint8_t> incoming(offset + words * 8);
+        std::copy(before.begin(), before.end(), incoming.begin() + offset);
+        // About a third of the words dirty, one to eight bytes each.
+        for (size_t w = 0; w < words; ++w) {
+          if (rng() % 3 != 0) {
+            continue;
           }
-          if (words == 0) {
-            break;
+          for (size_t flips = 1 + rng() % 8; flips > 0; --flips) {
+            incoming[offset + w * 8 + rng() % 8] ^=
+                static_cast<uint8_t>(1u << (rng() % 8));
           }
-          // Flip one random byte and re-check (accumulates dirty words).
-          b[offset + rng() % (words * 8)] ^= 1u << (rng() % 8);
         }
+        constexpr uint64_t kGuard = 0xA5A5A5A5A5A5A5A5u;
+        std::vector<uint64_t> resident(words + 1, kGuard);
+        std::copy(before.begin(), before.end(),
+                  reinterpret_cast<uint8_t*>(resident.data()));
+
+        uint64_t ref_bits = 0;
+        std::vector<uint64_t> ref_masks((words + kBlockWords - 1) /
+                                        kBlockWords);
+        for (size_t i = 0; i < before.size(); ++i) {
+          const auto diff =
+              static_cast<uint8_t>(before[i] ^ incoming[offset + i]);
+          ref_bits += static_cast<uint64_t>(std::popcount(diff));
+          if (diff != 0) {
+            const size_t w = i / 8;
+            ref_masks[w / kBlockWords] |= uint64_t{1} << (w % kBlockWords);
+          }
+        }
+
+        uint64_t bits = 0;
+        if (words == 0) {
+          uint64_t mask = ~uint64_t{0};
+          EXPECT_EQ(table->diff_store_words(resident.data(),
+                                            incoming.data(), 0, &mask),
+                    0u);
+          EXPECT_EQ(mask, 0u) << IsaName(isa);
+        }
+        for (size_t w = 0; w < words; w += kBlockWords) {
+          uint64_t mask = ~uint64_t{0};
+          bits += table->diff_store_words(
+              resident.data() + w, incoming.data() + offset + w * 8,
+              std::min(kBlockWords, words - w), &mask);
+          EXPECT_EQ(mask, ref_masks[w / kBlockWords])
+              << IsaName(isa) << " words=" << words << " block=" << w;
+        }
+        EXPECT_EQ(bits, ref_bits) << IsaName(isa) << " words=" << words;
+        const auto* stored = reinterpret_cast<const uint8_t*>(resident.data());
+        EXPECT_TRUE(std::equal(stored, stored + words * 8,
+                               incoming.begin() + offset))
+            << IsaName(isa) << " words=" << words;
+        EXPECT_EQ(resident[words], kGuard) << IsaName(isa);
       }
     }
   }

@@ -4,6 +4,7 @@
 namespace {
 constexpr unsigned kSectionAlpha = 1;
 constexpr unsigned kSectionGhost = 2;
+constexpr unsigned kSectionBorrowed = 3;
 }  // namespace
 
 void WriteSnapshot(SnapshotWriter& snap) {
@@ -17,11 +18,17 @@ void WriteSnapshot(SnapshotWriter& snap) {
     auto& w = snap.AddSection(kSectionGhost);
     w.PutU64(3);
   }
+  {
+    // Seeded: a zero-copy u32 vector read back as a u16 vector.
+    auto& w = snap.AddSection(kSectionBorrowed);
+    w.PutU32VecRef(counts);
+  }
 }
 
 bool ReadSnapshot(const SnapshotReader& snap) {
   unsigned long a = 0;
   unsigned b = 0;
+  std::vector<unsigned short> narrow;
   {
     auto section = snap.Section(kSectionAlpha);
     auto& r = section.value();
@@ -30,6 +37,13 @@ bool ReadSnapshot(const SnapshotReader& snap) {
       return false;
     }
     if (!r.GetU64(&a)) {
+      return false;
+    }
+  }
+  {
+    auto section = snap.Section(kSectionBorrowed);
+    auto& r = section.value();
+    if (!r.GetU16Vec(&narrow)) {
       return false;
     }
   }

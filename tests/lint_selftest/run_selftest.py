@@ -177,7 +177,15 @@ def main():
           want_substrings=[
               "section kSectionAlpha write/read sequences diverge",
               "section kSectionGhost is written but never read back",
+              "section kSectionBorrowed write/read sequences diverge",
           ])
+
+    # 11b. ... and accepts the zero-copy Put<X>Ref forms as Put<X>.
+    code, out = run([schema_lint, "--root", ROOT,
+                     "--sections", os.path.join(FIXTURES, "good_sections.cc"),
+                     "--no-fingerprint"])
+    check("snapshot_schema accepts zero-copy Put*Ref aliases", code, out,
+          want_fail=False)
 
     # 12. The fingerprint gate fires when the schema hash moved but the
     #     version constants did not (fixture baseline vs the real tree).

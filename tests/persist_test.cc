@@ -915,6 +915,58 @@ TEST_F(PersistTest, AppendBatchIsByteIdenticalToSingleAppends) {
   EXPECT_EQ(single_bytes.value(), batched_bytes.value());
 }
 
+TEST_F(PersistTest, BorrowedSectionPayloadsWriteIdenticalBytes) {
+  // The zero-copy Put*Ref forms the device section uses must leave exactly
+  // the bytes the copying forms leave -- same lengths, same section CRC --
+  // including owned fields between and after borrowed payloads and empty
+  // borrowed vectors (the bit-wear histogram of an untracked device).
+  std::vector<uint8_t> contents(1000);
+  std::vector<uint32_t> words(125);
+  std::vector<uint16_t> bits(77);
+  for (size_t i = 0; i < contents.size(); ++i) {
+    contents[i] = static_cast<uint8_t>(i * 37 + 11);
+  }
+  for (size_t i = 0; i < words.size(); ++i) {
+    words[i] = static_cast<uint32_t>(i * 2654435761u);
+  }
+  for (size_t i = 0; i < bits.size(); ++i) {
+    bits[i] = static_cast<uint16_t>(i * 40503u);
+  }
+  const std::vector<uint16_t> no_bits;
+  {
+    persist::SnapshotWriter snap(3);
+    auto& w = snap.AddSection(1);
+    w.PutSizedBytes(contents);
+    w.PutU64(42);
+    w.PutU32Vec(words);
+    w.PutU16Vec(no_bits);
+    w.PutU16Vec(bits);
+    w.PutU8(7);
+    snap.AddSection(2).PutU32(9);
+    ASSERT_TRUE(snap.WriteToFile(Path("copied.snap")).ok());
+  }
+  {
+    persist::SnapshotWriter snap(3);
+    auto& w = snap.AddSection(1);
+    w.PutSizedBytesRef(contents);
+    w.PutU64(42);
+    w.PutU32VecRef(words);
+    w.PutU16VecRef(no_bits);
+    w.PutU16VecRef(bits);
+    w.PutU8(7);
+    EXPECT_EQ(w.size(), 8 + contents.size() + 8 + 8 + words.size() * 4 +
+                            8 + 8 + bits.size() * 2 + 1);
+    snap.AddSection(2).PutU32(9);
+    ASSERT_TRUE(snap.WriteToFile(Path("borrowed.snap")).ok());
+  }
+  const auto copied = persist::ReadFileBytes(Path("copied.snap"));
+  const auto borrowed = persist::ReadFileBytes(Path("borrowed.snap"));
+  ASSERT_TRUE(copied.ok());
+  ASSERT_TRUE(borrowed.ok());
+  EXPECT_EQ(copied.value(), borrowed.value());
+  EXPECT_TRUE(persist::SnapshotReader::Parse(borrowed.value(), 3).ok());
+}
+
 TEST_F(PersistTest, MultiPutBatchCaptureReplaysOnRecovery) {
   auto store = MakeBootstrappedStore(SmallOptions());
   ASSERT_TRUE(store->Checkpoint(Path("mp.snap")).ok());

@@ -37,8 +37,9 @@ PnwOptions SmallOptions() {
 }
 
 // All bytes equal; the fill encodes (key, version) so readers can vet both.
-std::vector<uint8_t> SolidValue(uint64_t key, uint64_t version) {
-  return std::vector<uint8_t>(kValueBytes,
+std::vector<uint8_t> SolidValue(uint64_t key, uint64_t version,
+                                size_t value_bytes = kValueBytes) {
+  return std::vector<uint8_t>(value_bytes,
                               static_cast<uint8_t>(key * 31 + version));
 }
 
@@ -48,7 +49,7 @@ std::unique_ptr<PnwStore> BootstrappedStore(PnwOptions options, size_t n) {
   std::vector<std::vector<uint8_t>> values(n);
   for (size_t i = 0; i < n; ++i) {
     keys[i] = i;
-    values[i] = SolidValue(i, 0);
+    values[i] = SolidValue(i, 0, options.value_bytes);
   }
   util::WriterLock lock(store->mu());
   EXPECT_TRUE(store->Bootstrap(keys, values).ok());
@@ -160,7 +161,9 @@ void RunTorture(PnwOptions options, bool crash_recover) {
       (void)store->Delete(key);
     } else {
       ++version;
-      ASSERT_TRUE(store->Put(key, SolidValue(key, version)).ok());
+      ASSERT_TRUE(
+          store->Put(key, SolidValue(key, version, options.value_bytes))
+              .ok());
     }
   }
   done.store(true, std::memory_order_release);
@@ -186,6 +189,17 @@ TEST(OptimisticConcurrencyTest, TortureWithStartGapRotation) {
 
 TEST(OptimisticConcurrencyTest, TortureAcrossIndexReplacement) {
   RunTorture(SmallOptions(), /*crash_recover=*/true);
+}
+
+// 13-byte values make 21-byte buckets (8-byte key prefix + value), so most
+// buckets start and end mid-word: a writer's edge-word read-modify-write
+// rewrites a neighbouring bucket's bytes while optimistic readers copy that
+// neighbour. The neighbour's bytes must come back intact (solid) and every
+// access stays one aligned atomic word.
+TEST(OptimisticConcurrencyTest, TortureOddValueSize) {
+  PnwOptions options = SmallOptions();
+  options.value_bytes = 13;
+  RunTorture(options, /*crash_recover=*/false);
 }
 
 // Index node recycling under the readers: every writer step deletes the

@@ -11,6 +11,7 @@
 #include <cstdint>
 #include <filesystem>
 #include <functional>
+#include <map>
 #include <memory>
 #include <string>
 #include <thread>
@@ -243,22 +244,53 @@ TEST(ServerE2eTest, StatsOpcodeMatchesInProcessMetrics) {
   for (uint64_t k = 0; k < 10; ++k) {
     ASSERT_TRUE(client->Put(k, MakeValue(k, 9)).ok());
   }
+  // Hits and a miss feed the read-path split (optimistic vs locked).
+  for (uint64_t k = 0; k < 10; ++k) {
+    ASSERT_TRUE(client->Get(k).ok());
+  }
+  EXPECT_FALSE(client->Get(999).ok());
   auto stats = client->Stats();
   ASSERT_TRUE(stats.ok()) << stats.status().ToString();
-  uint64_t store_puts = 0, server_put_keys = 0, num_shards = 0;
+  std::map<std::string, uint64_t> got;
   for (const auto& [name, value] : stats.value()) {
-    if (name == "store.puts") store_puts = value;
-    if (name == "server.put_keys") server_put_keys = value;
-    if (name == "store.num_shards") num_shards = value;
+    EXPECT_TRUE(got.emplace(name, value).second) << "duplicate " << name;
   }
-  EXPECT_EQ(store_puts, 10u);
-  EXPECT_EQ(server_put_keys, 10u);
-  EXPECT_EQ(num_shards, 2u);
+  EXPECT_EQ(got["store.puts"], 10u);
+  EXPECT_EQ(got["server.put_keys"], 10u);
+  EXPECT_EQ(got["store.num_shards"], 2u);
+  EXPECT_EQ(got["store.gets"], 10u);
+  EXPECT_EQ(got["store.get_misses"], 1u);
+  EXPECT_EQ(got["store.optimistic_gets"] + got["store.locked_gets"],
+            got["store.gets"]);
+  // The server is idle now: every store field STATS exports equals the
+  // in-process aggregate, the arena gauges included.
+  const core::ShardedMetrics agg = store->AggregatedMetrics();
+  const core::StoreMetrics& t = agg.totals;
+  const std::map<std::string, uint64_t> expected = {
+      {"store.optimistic_gets", t.optimistic_gets.load()},
+      {"store.locked_gets", t.locked_gets.load()},
+      {"store.optimistic_retries", t.optimistic_retries.load()},
+      {"store.retrains", t.retrains},
+      {"store.failed_retrains", t.failed_retrains},
+      {"store.put_words_written", t.put_words_written},
+      {"store.delete_device_ns", static_cast<uint64_t>(t.delete_device_ns)},
+      {"store.wear_device_ns", static_cast<uint64_t>(t.wear_device_ns)},
+      {"store.arena_slabs", t.arena_slabs.load()},
+      {"store.arena_slab_bytes", t.arena_slab_bytes.load()},
+      {"store.arena_live_bytes", t.arena_live_bytes.load()},
+      {"store.arena_high_water_bytes", t.arena_high_water_bytes.load()},
+  };
+  for (const auto& [name, value] : expected) {
+    ASSERT_TRUE(got.count(name)) << "STATS lacks " << name;
+    EXPECT_EQ(got[name], value) << name;
+  }
+  EXPECT_GT(got["store.put_words_written"], 0u);
+  EXPECT_GT(got["store.arena_live_bytes"], 0u);
   // The STATS frame itself is accounted: one stats frame, and frames_in
-  // covers the 10 PUTs plus it (STATS forwards no keys, so batched_keys
-  // reconciles without it).
+  // covers the 10 PUTs and 11 GETs plus it (STATS forwards no keys, so
+  // batched_keys reconciles without it).
   EXPECT_EQ(server->metrics().stats_frames.load(), 1u);
-  EXPECT_EQ(server->metrics().frames_in.load(), 11u);
+  EXPECT_EQ(server->metrics().frames_in.load(), 22u);
   server->Stop();
 }
 

@@ -1,8 +1,11 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
+#include <cstring>
 #include <vector>
 
+#include "src/util/atomic_bytes.h"
 #include "src/util/bitvec.h"
 #include "src/util/hamming.h"
 #include "src/util/random.h"
@@ -74,6 +77,41 @@ TEST(HammingTest, DistanceOnLongBuffers) {
 TEST(HammingTest, Distance64) {
   EXPECT_EQ(HammingDistance64(0x0, 0xf), 4u);
   EXPECT_EQ(HammingDistance64(UINT64_MAX, 0), 64u);
+}
+
+// ----------------------------------------------------------- AtomicBytes
+
+// The word-granular seqlock copies must behave exactly like memcpy for
+// every alignment: offsets 0-7 into an aligned buffer, lengths 0-70. The
+// store side read-modify-writes partial edge words, so every byte outside
+// [offset, offset + n) -- including those sharing a word with the range --
+// must come back unchanged.
+TEST(AtomicBytesTest, StoreAndLoadMatchMemcpyAndKeepGuardBytes) {
+  constexpr size_t kWords = 12;  // 96 bytes: room for offset 7 + length 70
+  for (size_t offset = 0; offset < 8; ++offset) {
+    for (size_t n = 0; n <= 70; ++n) {
+      std::vector<uint8_t> src(n);
+      for (size_t i = 0; i < n; ++i) {
+        src[i] = static_cast<uint8_t>(0x11 * (i + 1) + offset);
+      }
+      alignas(8) uint64_t store_words[kWords];
+      std::memset(store_words, 0xC3, sizeof(store_words));
+      auto* dst = reinterpret_cast<uint8_t*>(store_words);
+      std::vector<uint8_t> expected(dst, dst + sizeof(store_words));
+      std::copy(src.begin(), src.end(), expected.begin() + offset);
+      util::AtomicStoreBytes(dst + offset, src.data(), n);
+      EXPECT_EQ(std::memcmp(dst, expected.data(), expected.size()), 0)
+          << "store offset=" << offset << " n=" << n;
+
+      // Load back through the same range into a guarded buffer.
+      std::vector<uint8_t> out(n + 2, 0x5A);
+      util::AtomicLoadBytes(out.data() + 1, dst + offset, n);
+      EXPECT_TRUE(std::equal(src.begin(), src.end(), out.begin() + 1))
+          << "load offset=" << offset << " n=" << n;
+      EXPECT_EQ(out.front(), 0x5A);
+      EXPECT_EQ(out.back(), 0x5A);
+    }
+  }
 }
 
 // --------------------------------------------------------------- BitVector
